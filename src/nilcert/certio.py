@@ -205,7 +205,10 @@ class _Reader:
             digits = coeff_raw[1:] if coeff_raw.startswith("-") else coeff_raw
             if not digits.isdigit() or (len(digits) > 1 and digits[0] == "0"):
                 raise self.fail(f"bad coefficient {coeff_raw!r}", here)
-            coeff = int(coeff_raw)
+            try:
+                coeff = int(coeff_raw)
+            except ValueError as err:  # past the interpreter's int/str digit limit
+                raise self.fail(str(err), here) from None
             if coeff == 0:
                 raise self.fail("zero coefficient stored", here)
             if not isinstance(word_raw, list):
@@ -286,6 +289,10 @@ def deserialize(data: bytes) -> Certificate:
         raise MalformedCertificateError("not valid UTF-8", offset=err.start) from None
     except json.JSONDecodeError as err:
         raise MalformedCertificateError(err.msg, offset=err.pos) from None
+    except RecursionError:
+        raise MalformedCertificateError("JSON nested too deeply") from None
+    except ValueError as err:  # an integer literal past the int/str digit limit
+        raise MalformedCertificateError(str(err)) from None
     if not isinstance(obj, dict):
         raise MalformedCertificateError("top level must be an object")
 

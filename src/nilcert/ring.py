@@ -5,12 +5,17 @@ alphabet.  Words multiply by concatenation and do not commute; the
 empty word is the unit.  Coefficients are arbitrary-precision integers
 and are central.  Every value here is immutable and safe to share
 between threads.
+
+Inside a Poly a word is a str with one code point per symbol, taken
+from one process-wide symbol table in first-seen order (so codes carry
+no sort order).  Public functions take and return tuples of Symbol.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+import sys
 import threading
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -38,10 +43,11 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 class Symbol:
     """An indeterminate of the free ring.
 
-    Base symbols form the declared alphabet of a problem and compare by
-    name.  Schematic symbols stand for an arbitrary ring element (a
-    universally quantified slot, a family middle, a bound variable) and
-    compare by uid; their name is display-only.
+    Base symbols form the declared alphabet of a problem.  Schematic
+    symbols stand for an arbitrary ring element (a universally
+    quantified slot, a family middle, a bound variable).  A symbol is
+    identified by its full spelling: a schematic one by ``name#uid``,
+    so ``z#0`` and ``w#0`` are distinct indeterminates.
     """
 
     __slots__ = ("name", "kind", "uid")
@@ -64,16 +70,10 @@ class Symbol:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Symbol):
             return NotImplemented
-        if self.kind != other.kind:
-            return False
-        if self.kind == SCHEMATIC:
-            return self.uid == other.uid
-        return self.name == other.name
+        return (self.kind, self.name, self.uid) == (other.kind, other.name, other.uid)
 
     def __hash__(self) -> int:
-        if self.kind == SCHEMATIC:
-            return hash((SCHEMATIC, self.uid))
-        return hash((BASE, self.name))
+        return hash((self.kind, self.name, self.uid))
 
     def sort_key(self) -> tuple:
         # base symbols before schematic ones; deterministic across runs
@@ -129,19 +129,29 @@ def reserve_uids(floor: int) -> None:
 # A word is a tuple of symbols; the empty tuple is the unit 1.
 Word = tuple
 
-_word_table: dict[Word, Word] = {}
-_word_lock = threading.Lock()
+_symbols: list[Symbol] = []
+_codes: dict[Symbol, str] = {}
+_table_lock = threading.Lock()
+_CODE_LIMIT = sys.maxunicode + 1
 
 
-def _intern_word(word: Word) -> Word:
-    # hash-consing: equal words share one tuple, so dict lookups on Poly
-    # terms short-circuit on identity
-    with _word_lock:
-        return _word_table.setdefault(word, word)
+def _code(sym: Symbol) -> str:
+    code = _codes.get(sym)
+    if code is None:
+        with _table_lock:
+            code = _codes.get(sym)
+            if code is None:
+                if len(_symbols) >= _CODE_LIMIT:
+                    raise OverflowError(f"symbol table full at {_CODE_LIMIT} symbols")
+                code = chr(len(_symbols))
+                # published in this order, so every code a reader holds decodes
+                _symbols.append(sym)
+                _codes[sym] = code
+    return code
 
 
-def _word_sort_key(word: Word) -> tuple:
-    return tuple(sym.sort_key() for sym in word)
+def _decode(word: str) -> Word:
+    return tuple([_symbols[ord(code)] for code in word])
 
 
 class Poly:
@@ -155,14 +165,14 @@ class Poly:
         for word, coeff in items:
             if not isinstance(coeff, int):
                 raise TypeError("coefficients must be int")
-            word = _intern_word(tuple(word))
+            word = "".join(map(_code, word))
             coeff = acc.get(word, 0) + coeff
             if coeff:
                 acc[word] = coeff
             else:
                 acc.pop(word, None)
         self._terms = acc
-        self._hash = hash(frozenset(acc.items()))
+        self._hash = None
 
     # -- constructors ------------------------------------------------
 
@@ -180,7 +190,7 @@ class Poly:
 
     @classmethod
     def symbol(cls, sym: Symbol) -> "Poly":
-        return cls({(sym,): 1})
+        return _wrap({_code(sym): 1})
 
     @classmethod
     def word(cls, symbols: Iterable[Symbol], coeff: int = 1) -> "Poly":
@@ -190,23 +200,21 @@ class Poly:
 
     @property
     def terms(self) -> Mapping[Word, int]:
-        return self._terms
+        return {_decode(w): c for w, c in self._terms.items()}
 
     def items(self) -> Iterator[tuple[Word, int]]:
-        return iter(self._terms.items())
+        return ((_decode(w), c) for w, c in self._terms.items())
 
     @property
     def is_zero(self) -> bool:
         return not self._terms
 
     def symbols(self) -> set[Symbol]:
-        out: set[Symbol] = set()
-        for word in self._terms:
-            out.update(word)
-        return out
+        return {_symbols[ord(c)] for c in set().union(*self._terms)}
 
     def mentions(self, sym: Symbol) -> bool:
-        return any(sym in word for word in self._terms)
+        code = _codes.get(sym)
+        return code is not None and any(code in word for word in self._terms)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -244,10 +252,14 @@ class Poly:
             return _wrap({w: c * other for w, c in self._terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
-        acc: dict[Word, int] = {}
+        if not self._terms or other._terms == _ONE._terms:
+            return self
+        if not other._terms or self._terms == _ONE._terms:
+            return other
+        acc: dict[str, int] = {}
         for wa, ca in self._terms.items():
             for wb, cb in other._terms.items():
-                word = _intern_word(wa + wb)
+                word = wa + wb
                 coeff = acc.get(word, 0) + ca * cb
                 if coeff:
                     acc[word] = coeff
@@ -276,14 +288,15 @@ class Poly:
     def substitute(self, bindings: Mapping[Symbol, "Poly"]) -> "Poly":
         """Apply the ring homomorphism sending bound symbols to their
         images and fixing everything else."""
-        if not bindings or not any(self.mentions(s) for s in bindings):
+        images = {_codes[s]: image for s, image in bindings.items() if self.mentions(s)}
+        if not images:
             return self
         total = _ZERO
         for word, coeff in self._terms.items():
-            factor = Poly.constant(coeff)
-            for sym in word:
-                image = bindings.get(sym)
-                factor = factor * (image if image is not None else Poly.symbol(sym))
+            factor = _wrap({"": coeff})
+            for code in word:
+                image = images.get(code)
+                factor = factor * (image if image is not None else _wrap({code: 1}))
             total = total + factor
         return total
 
@@ -295,10 +308,16 @@ class Poly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(frozenset(self._terms.items()))
         return self._hash
 
     def __bool__(self) -> bool:
         return bool(self._terms)
+
+    def __reduce__(self) -> tuple:
+        # codes are private to this process; pickle words as Symbol tuples
+        return (Poly, (self.terms,))
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -308,15 +327,15 @@ class Poly:
 
 
 def _wrap(terms: dict) -> Poly:
-    # internal: terms already normalized (no zeros, interned keys)
+    # internal: terms already normalized (no zeros, encoded words)
     poly = Poly.__new__(Poly)
     poly._terms = terms
-    poly._hash = hash(frozenset(terms.items()))
+    poly._hash = None
     return poly
 
 
-_ZERO = Poly()
-_ONE = Poly({(): 1})
+_ZERO = _wrap({})
+_ONE = _wrap({"": 1})
 
 
 def commutator(p: Poly, q: Poly) -> Poly:
@@ -334,21 +353,25 @@ def sorted_terms(
     """Terms in graded-lexicographic order: degree descending, then the
     word order induced by the declared symbol order (name order when no
     declaration is given).  Serialization-only; never affects semantics."""
-    if order is None:
-        rank = {}
-    else:
-        rank = {name: i for i, name in enumerate(order)}
+    if len(p._terms) < 2:
+        return [(_decode(w), c) for w, c in p._terms.items()]
+    rank = {name: i for i, name in enumerate(order or ())}
 
-    def sym_key(sym: Symbol) -> tuple:
+    def sym_key(code: str) -> tuple:
+        sym = _symbols[ord(code)]
         if sym.kind == SCHEMATIC:
             return (2, 0, sym.name, sym.uid)
-        return (0, rank[sym.name], sym.name, 0) if sym.name in rank else (1, 0, sym.name, 0)
+        declared = sym.name in rank
+        return (0 if declared else 1, rank.get(sym.name, 0), sym.name, sym.uid)
 
-    def key(item: tuple[Word, int]) -> tuple:
-        word = item[0]
-        return (-len(word), tuple(sym_key(s) for s in word))
+    # recode the symbols present by rank, so words compare as plain strs
+    present = sorted(set().union(*p._terms), key=sym_key)
+    recode = {ord(code): chr(i) for i, code in enumerate(present)}
 
-    return sorted(p.terms.items(), key=key)
+    def key(item: tuple[str, int]) -> tuple:
+        return (-len(item[0]), item[0].translate(recode))
+
+    return [(_decode(w), c) for w, c in sorted(p._terms.items(), key=key)]
 
 
 def format_poly(p: Poly, order: Sequence[str] | None = None) -> str:

@@ -2,7 +2,8 @@
 
 Run from the repository root in a fresh interpreter::
 
-    python3 tests/golden/regen.py
+    python3 tests/golden/regen.py            # rewrite the three files
+    python3 tests/golden/regen.py --check    # write nothing; exit 1 if any differs
 
 A fresh interpreter matters for intersect_sqrt.cert.json: its schematic
 uids come from a process-global counter, so regenerating after other
@@ -12,7 +13,9 @@ produces.
 
 from __future__ import annotations
 
+import argparse
 import pathlib
+import sys
 
 from nilcert import (
     DagBuilder,
@@ -40,15 +43,31 @@ def sqrt_intersect_example() -> bytes:
     return serialize(certificate_from_dag(out, symbols=("x", "y")))
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Regenerate the golden certificates.")
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="regenerate in memory, write nothing, exit 1 on any byte difference",
+    )
+    args = parser.parse_args(argv)
+    status = 0
     for name, data in (
         ("x2.cert.json", serialize(xn_demo(2)[0])),
         ("x3.cert.json", serialize(xn_demo(3)[0])),
         ("intersect_sqrt.cert.json", sqrt_intersect_example()),
     ):
-        (HERE / name).write_bytes(data)
-        print(f"wrote {HERE / name} ({len(data)} bytes)")
+        path = HERE / name
+        if not args.check:
+            path.write_bytes(data)
+            print(f"wrote {path} ({len(data)} bytes)")
+        elif path.exists() and path.read_bytes() == data:
+            print(f"unchanged {path}")
+        else:
+            print(f"differs {path}")
+            status = 1
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -381,6 +381,25 @@ def test_criterion_8_round_trips():
         assert parse_poly(print_poly(p), table) == p
 
 
+def test_schematics_are_identified_by_their_spelling():
+    # w#0 and z#0 share a uid but are distinct indeterminates: loading
+    # one first must not rename the other, and only the bound's own
+    # spelling in a generator is a capture.
+    golden = (GOLDEN / "intersect_sqrt.cert.json").read_bytes()
+    renamed = golden.replace(b'"z#0"', b'"w#0"')
+    assert renamed != golden
+    assert serialize(deserialize(renamed)) == renamed
+    assert serialize(deserialize(golden)) == golden
+    cap_gen = _capture_bases()["cap_gen"]
+    for spelling, ok in (("w#0", False), ("z#0", True)):
+        obj = json.loads(cap_gen)
+        obj["generators"][1] = [["1", [spelling]]]
+        verdict = check_certificate(deserialize(json.dumps(obj).encode()))
+        assert verdict.ok is ok, f"{spelling}: {verdict}"
+        if not ok:
+            assert (verdict.reason, verdict.node) == (SEMIPRIME_CAPTURE, 2)
+
+
 def _red_chain(element: Poly, depth: int = 20):
     """A witness for `element` wrapped in `depth` nested Red steps."""
     builder = DagBuilder(NIL, GeneratorSet((element,)))

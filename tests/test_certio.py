@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -91,6 +92,26 @@ def test_deserialize_rejects_bad_bytes():
         deserialize(truncated)
     with pytest.raises(MalformedCertificateError, match="top level"):
         deserialize(b"[1, 2]\n")
+
+
+# 0 when the interpreter has no int/str digit limit (before Python 3.11)
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(DIGIT_LIMIT == 0, reason="no int/str digit limit")
+def test_deserialize_rejects_numbers_past_the_digit_limit():
+    obj = json.loads(serialize(small_cert()))
+    obj["claim"][0][0] = "7" * (DIGIT_LIMIT + 1)
+    with pytest.raises(MalformedCertificateError, match=r"^claim\[0\]: "):
+        deserialize(json.dumps(obj).encode())
+    data = serialize(small_cert()).replace(b'"root":', b'"root":' + b"1" * (DIGIT_LIMIT + 1))
+    with pytest.raises(MalformedCertificateError):
+        deserialize(data)
+
+
+def test_deserialize_rejects_deep_nesting():
+    with pytest.raises(MalformedCertificateError, match="nested too deeply"):
+        deserialize(b"[" * 200_000 + b"]" * 200_000)
 
 
 def test_deserialize_rejects_unsupported_version():

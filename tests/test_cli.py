@@ -33,19 +33,23 @@ x, y, z = (Poly.symbol(base_symbol(n)) for n in "xyz")
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(nilcert.__file__)))
 
 
-def run(*argv, cwd=None, env_extra=None):
+def python(*args, cwd=None, env_extra=None):
     env = dict(os.environ)
     # An absolute path: a relative PYTHONPATH breaks imports in children
     # that start in another directory.
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     env.update(env_extra or {})
     return subprocess.run(
-        [sys.executable, "-m", "nilcert", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         env=env,
     )
+
+
+def run(*argv, **kwargs):
+    return python("-m", "nilcert", *argv, **kwargs)
 
 
 def write_intro_cert(path, setting, gens, families=(), symbols=None):
@@ -129,6 +133,24 @@ def test_check_exit_codes_for_bad_files(tmp_path):
     not_json = tmp_path / "plain.txt"
     not_json.write_text("hello\n")
     assert run("check", str(not_json)).returncode == 2
+
+
+def test_check_deeply_nested_json_is_malformed(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_bytes(b"[" * 200_000 + b"]" * 200_000)
+    result = run("check", str(deep))
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert "nested too deeply" in result.stderr
+
+
+def test_golden_files_regenerate_in_a_fresh_interpreter(tmp_path):
+    # intersect_sqrt's schematic uids depend on the process's history, so
+    # only a fresh interpreter reproduces the stored bytes
+    regen = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "regen.py")
+    result = python(regen, "--check", cwd=tmp_path)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.count("unchanged") == 3
 
 
 def test_usage_errors():

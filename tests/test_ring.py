@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import pathlib
+import pickle
 import random
+import sys
+import threading
+import time
 
 import pytest
 
@@ -12,10 +17,14 @@ from nilcert import (
     Symbol,
     base_symbol,
     commutator,
+    deserialize,
     print_poly,
     fresh_schematic,
     substitute,
 )
+from nilcert import ring
+from nilcert.ring import SCHEMATIC, sorted_terms
+from nilcert.witness import Mult
 
 x = Poly.symbol(base_symbol("x"))
 y = Poly.symbol(base_symbol("y"))
@@ -140,6 +149,104 @@ def test_multiplication_matches_naive_expansion():
         )
 
 
+def test_multiplying_by_zero_or_one_returns_the_other_side():
+    p = (x + y) * (x - 2 * y)
+    golden = pathlib.Path(__file__).parent / "golden" / "x2.cert.json"
+    loaded = [n.left for n in deserialize(golden.read_bytes()).nodes if isinstance(n, Mult)]
+    ones = [one, Poly.constant(1), Poly({(): 1})] + [q for q in loaded if q == one]
+    assert len(ones) > 3 and all(u is not one for u in ones[1:])
+    for unit in ones:
+        assert p * unit is p
+        assert unit * p is p
+    assert p * Poly.zero() == Poly.zero() == Poly.zero() * p
+
+
+def test_terms_and_items_give_words_as_symbol_tuples():
+    z = fresh_schematic("z")
+    p = 3 * x * Poly.symbol(z) * y - one
+    expected = {(base_symbol("x"), z, base_symbol("y")): 3, (): -1}
+    assert p.terms == expected
+    assert dict(p.items()) == expected
+    for word in list(p.terms) + [w for w, _ in p.items()]:
+        assert type(word) is tuple
+        assert all(type(sym) is Symbol for sym in word)
+    assert p.symbols() == {base_symbol("x"), base_symbol("y"), z}
+
+
+def test_pickled_polys_carry_symbols_not_codes():
+    z = fresh_schematic("z")
+    p = 2 * x * Poly.symbol(z) - y
+    _, args = p.__reduce__()
+    assert args == ({(base_symbol("x"), z): 2, (base_symbol("y"),): -1},)
+    q = pickle.loads(pickle.dumps(p))
+    assert q == p and hash(q) == hash(p)
+
+
+def test_words_past_the_surrogate_code_points_match_the_oracle():
+    # Symbol codes are handed out in first-seen order.  Register enough
+    # symbols that codes run through U+D800..U+DFFF and beyond, naming
+    # them in descending order so code order and print order disagree.
+    target = 0xE000 + 64
+    count = target - len(ring._symbols)
+    fresh = [base_symbol(f"s{i:06d}") for i in range(count, 0, -1)]
+    for sym in fresh:
+        Poly.symbol(sym)
+    assert len(ring._symbols) >= target
+    names = [s.name for s in fresh if ord(ring._codes[s]) >= 0xD800 - 32][:200]
+    assert any(0xD800 <= ord(ring._codes[base_symbol(n)]) <= 0xDFFF for n in names)
+    names += ["x", "y"]
+    rng = random.Random(55_296)
+    for _ in range(60):
+        p = rand_poly(rng, names=names)
+        q = rand_poly(rng, names=names)
+        tp, tq = oracle.terms_of(p), oracle.terms_of(q)
+        assert oracle.terms_of(p * q) == oracle.expand(tp, tq)
+        assert oracle.terms_of(p + q) == oracle.add_terms(tp, tq)
+        by_name = sorted(tp, key=lambda w: (-len(w), w))
+        assert [tuple(s.name for s in w) for w, _ in sorted_terms(p)] == by_name
+
+
+def test_symbol_table_refuses_to_pass_the_last_code_point(monkeypatch):
+    # the real limit is U+10FFFF; a lowered one stands in for it
+    monkeypatch.setattr(ring, "_CODE_LIMIT", len(ring._symbols))
+    with pytest.raises(OverflowError, match="symbol table full"):
+        Poly.symbol(fresh_schematic("z"))
+    assert x * y - y * x == commutator(x, y)
+
+
+def test_concurrent_new_symbols_decode_to_themselves():
+    made: list[list[Symbol]] = [[] for _ in range(8)]
+    errors: list[BaseException] = []
+    deadline = time.monotonic() + 5.0
+
+    def work(out: list[Symbol]) -> None:
+        try:
+            while len(out) < 400 and time.monotonic() < deadline:
+                a, b = fresh_schematic("t"), fresh_schematic("u")
+                p = Poly.symbol(a) * (x + Poly.symbol(b))
+                assert p.terms == {(a, base_symbol("x")): 1, (a, b): 1}
+                out.extend((a, b))
+        except Exception as err:  # reported by the main thread
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(out,)) for out in made]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors[0]
+    symbols = [s for out in made for s in out]
+    assert len(symbols) > 8 and len(set(symbols)) == len(symbols)
+    for sym in symbols:
+        assert Poly.symbol(sym).terms == {(sym,): 1}
+
+
 def test_equal_polys_share_hash():
     p = (x + y) * (x - y)
     q = x * x - x * y + y * x - y * y
@@ -201,6 +308,10 @@ def test_symbol_identity_rules():
     assert a != b
     assert a == a
     assert len({a, b, base_symbol("z")}) == 3
+    # a schematic is identified by its whole spelling name#uid
+    assert Symbol("z", SCHEMATIC, 0) != Symbol("w", SCHEMATIC, 0)
+    assert Symbol("z", SCHEMATIC, 0) == Symbol.decode("z#0")
+    assert len({Symbol("z", SCHEMATIC, 0), Symbol("w", SCHEMATIC, 0)}) == 2
 
 
 def test_symbol_wire_round_trip():
