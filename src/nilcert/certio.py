@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
-from nilcert.ring import Poly, Symbol, reserve_uids, sorted_terms
+from nilcert.ring import Poly, Symbol, reserve_uids, symbols_of, term_sorter
 from nilcert.witness import (
     Add,
     DEFAULT_MAX_NODES,
@@ -89,14 +89,7 @@ class Certificate:
 # -- writing ----------------------------------------------------------
 
 
-def _poly_json(p: Poly, order: tuple[str, ...]) -> list:
-    return [
-        [str(coeff), [sym.encode() for sym in word]]
-        for word, coeff in sorted_terms(p, order)
-    ]
-
-
-def _node_json(node: Node, ident: int, order: tuple[str, ...]) -> dict:
+def _node_json(node: Node, ident: int, poly: Callable[[Poly], list]) -> dict:
     if isinstance(node, Intro):
         return {"id": ident, "op": "intro", "gen": node.gen_index}
     if isinstance(node, IntroFamily):
@@ -104,7 +97,7 @@ def _node_json(node: Node, ident: int, order: tuple[str, ...]) -> dict:
             "id": ident,
             "op": "intro_family",
             "family": node.family_index,
-            "instance": _poly_json(node.instance, order),
+            "instance": poly(node.instance),
         }
     if isinstance(node, Zero):
         return {"id": ident, "op": "zero"}
@@ -114,16 +107,16 @@ def _node_json(node: Node, ident: int, order: tuple[str, ...]) -> dict:
         return {
             "id": ident,
             "op": "mult",
-            "left": _poly_json(node.left, order),
+            "left": poly(node.left),
             "inner": node.inner,
-            "right": _poly_json(node.right, order),
+            "right": poly(node.right),
         }
     if isinstance(node, Red):
         return {
             "id": ident,
             "op": "red",
             "premise": node.premise,
-            "conclusion": _poly_json(node.conclusion, order),
+            "conclusion": poly(node.conclusion),
         }
     if isinstance(node, Semiprime):
         return {
@@ -131,7 +124,7 @@ def _node_json(node: Node, ident: int, order: tuple[str, ...]) -> dict:
             "op": "semiprime",
             "bound": node.bound.encode(),
             "premise": node.premise,
-            "conclusion": _poly_json(node.conclusion, order),
+            "conclusion": poly(node.conclusion),
         }
     raise TypeError(f"unknown node kind {type(node).__name__}")
 
@@ -139,18 +132,23 @@ def _node_json(node: Node, ident: int, order: tuple[str, ...]) -> dict:
 def serialize(cert: Certificate) -> bytes:
     if cert.version != FORMAT_VERSION:
         raise UnsupportedVersionError(cert.version)
-    order = cert.symbols
+    # one table orders and spells the symbols of every polynomial
+    polys = _polys(cert.generators, cert.claim, cert.nodes)
+    terms = term_sorter(polys, cert.symbols, Symbol.encode)
+
+    def poly(p: Poly) -> list:
+        return [[str(coeff), word] for word, coeff in terms(p)]
+
     obj = {
         "version": cert.version,
         "setting": cert.setting,
         "symbols": list(cert.symbols),
-        "generators": [_poly_json(p, order) for p in cert.generators.elements],
+        "generators": [poly(p) for p in cert.generators.elements],
         "families": [
-            {"left": _poly_json(l, order), "right": _poly_json(r, order)}
-            for l, r in cert.generators.families
+            {"left": poly(l), "right": poly(r)} for l, r in cert.generators.families
         ],
-        "claim": _poly_json(cert.claim, order),
-        "nodes": [_node_json(n, i, order) for i, n in enumerate(cert.nodes)],
+        "claim": poly(cert.claim),
+        "nodes": [_node_json(n, i, poly) for i, n in enumerate(cert.nodes)],
         "root": cert.root,
     }
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode() + b"\n"
@@ -164,6 +162,9 @@ class _Reader:
 
     def __init__(self) -> None:
         self.max_uid = -1
+        # spelling -> Symbol, stored only once the spelling has passed, so
+        # each error is still raised at the first path that spells it
+        self.spelled: dict[str, Symbol] = {}
 
     def fail(self, message: str, where: str) -> MalformedCertificateError:
         return MalformedCertificateError(message, where=where)
@@ -181,6 +182,9 @@ class _Reader:
     def symbol(self, value: Any, declared: frozenset, where: str) -> Symbol:
         if not isinstance(value, str):
             raise self.fail("expected a symbol string", where)
+        sym = self.spelled.get(value)
+        if sym is not None:
+            return sym
         try:
             sym = Symbol.decode(value)
         except ValueError as err:
@@ -189,6 +193,7 @@ class _Reader:
             self.max_uid = max(self.max_uid, sym.uid)
         elif sym.name not in declared:
             raise self.fail(f"symbol {sym.name!r} not declared", where)
+        self.spelled[value] = sym
         return sym
 
     def poly(self, value: Any, declared: frozenset, where: str) -> Poly:
@@ -390,9 +395,8 @@ def certificate_from_dag(
         claim = dag.conclusion
     elif claim != dag.conclusion:
         raise WitnessError("claim differs from the root conclusion")
-    seen: set[str] = set()
-    for poly in _all_polys(dag):
-        seen.update(s.name for s in poly.symbols() if not s.is_schematic)
+    polys = _polys(dag.generators, dag.conclusion, dag.nodes)
+    seen = {s.name for s in symbols_of(polys) if not s.is_schematic}
     if symbols is None:
         symbols = tuple(sorted(seen))
     else:
@@ -407,10 +411,11 @@ def certificate_from_dag(
     )
 
 
-def _all_polys(dag: WitnessDag):
-    yield from dag.generators.all_polys()
-    yield dag.conclusion
-    for node in dag.nodes:
+def _polys(generators: GeneratorSet, claim: Poly, nodes: tuple[Node, ...]):
+    """Every polynomial of a certificate or DAG, shared ones repeated."""
+    yield from generators.all_polys()
+    yield claim
+    for node in nodes:
         if isinstance(node, IntroFamily):
             yield node.instance
         elif isinstance(node, Mult):

@@ -9,6 +9,7 @@ byte-reproducible.  NILCERT_MAX_NODES overrides the node budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -42,10 +43,16 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _load_checked(path: str) -> Certificate:
-    """Read, parse, and semantically check a certificate file."""
+def _load_checked(path: str, max_nodes: int) -> Certificate:
+    """Read, parse, and semantically check a certificate file.
+
+    A certificate with more nodes than the budget is refused before the
+    checker evaluates anything.
+    """
     with open(path, "rb") as handle:
         cert = deserialize(handle.read())
+    if len(cert.nodes) > max_nodes:
+        raise _InvalidInput(f"{path}: {len(cert.nodes)} nodes exceed the node budget {max_nodes}")
     verdict = check_certificate(cert)
     if not verdict:
         raise _InvalidInput(f"{path}: {verdict}")
@@ -66,11 +73,7 @@ def _write_cert(cert: Certificate, path: str) -> None:
 
 
 def _cmd_check(args, max_nodes: int) -> int:
-    with open(args.certificate, "rb") as handle:
-        cert = deserialize(handle.read())
-    verdict = check_certificate(cert)
-    if not verdict:
-        return _fail(1, f"{args.certificate}: {verdict}")
+    cert = _load_checked(args.certificate, max_nodes)
     print(f"{args.certificate}: valid ({len(cert.nodes)} nodes, setting {cert.setting})")
     return 0
 
@@ -111,8 +114,8 @@ def _cmd_product(args, max_nodes: int) -> int:
     setting = _require_setting(args.setting, problem.setting)
     common, a, b = _split_product_generators(problem)
     families = problem.family_polys()
-    p_cert = _load_checked(args.p_certificate)
-    q_cert = _load_checked(args.q_certificate)
+    p_cert = _load_checked(args.p_certificate, max_nodes)
+    q_cert = _load_checked(args.q_certificate, max_nodes)
     _require_setting(setting, p_cert.setting, q_cert.setting)
     expect_p = GeneratorSet(common + (a,), families)
     expect_q = GeneratorSet(common + (b,), families)
@@ -138,7 +141,7 @@ def _cmd_product(args, max_nodes: int) -> int:
 
 
 def _cmd_permute(args, max_nodes: int) -> int:
-    cert = _load_checked(args.certificate)
+    cert = _load_checked(args.certificate, max_nodes)
     factor_srcs = [s.strip() for s in args.factors.split(";") if s.strip()]
     factors = [parse_poly(src, cert.symbols) for src in factor_srcs]
     try:
@@ -156,8 +159,8 @@ def _cmd_permute(args, max_nodes: int) -> int:
 
 
 def _cmd_intersect(args, max_nodes: int) -> int:
-    p_cert = _load_checked(args.p_certificate)
-    q_cert = _load_checked(args.q_certificate)
+    p_cert = _load_checked(args.p_certificate, max_nodes)
+    q_cert = _load_checked(args.q_certificate, max_nodes)
     setting = _require_setting(args.setting, p_cert.setting, q_cert.setting)
     if p_cert.claim != q_cert.claim:
         raise _InvalidInput("the two certificates claim different elements")
@@ -175,7 +178,9 @@ def _cmd_intersect(args, max_nodes: int) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on first use, not at import, and reused by later main() calls
     parser = argparse.ArgumentParser(
         prog="nilcert",
         description="Build and check membership certificates for Nil/sqrt ideals "

@@ -17,7 +17,7 @@ import itertools
 import re
 import sys
 import threading
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "BASE",
@@ -31,6 +31,8 @@ __all__ = [
     "commutator",
     "substitute",
     "sorted_terms",
+    "term_sorter",
+    "symbols_of",
     "format_poly",
 ]
 
@@ -210,7 +212,7 @@ class Poly:
         return not self._terms
 
     def symbols(self) -> set[Symbol]:
-        return {_symbols[ord(c)] for c in set().union(*self._terms)}
+        return symbols_of((self,))
 
     def mentions(self, sym: Symbol) -> bool:
         code = _codes.get(sym)
@@ -338,6 +340,12 @@ _ZERO = _wrap({})
 _ONE = _wrap({"": 1})
 
 
+def symbols_of(polys: Iterable[Poly]) -> set[Symbol]:
+    """Every symbol occurring in any of ``polys``, each decoded once."""
+    codes = set("".join(itertools.chain.from_iterable(p._terms for p in polys)))
+    return {_symbols[ord(code)] for code in codes}
+
+
 def commutator(p: Poly, q: Poly) -> Poly:
     """[p, q] = p*q - q*p; zero exactly when p and q commute."""
     return p * q - q * p
@@ -347,31 +355,38 @@ def substitute(p: Poly, bindings: Mapping[Symbol, Poly]) -> Poly:
     return p.substitute(bindings)
 
 
-def sorted_terms(
-    p: Poly, order: Sequence[str] | None = None
-) -> list[tuple[Word, int]]:
+def sorted_terms(p: Poly, order: Sequence[str] | None = None) -> list[tuple[Word, int]]:
     """Terms in graded-lexicographic order: degree descending, then the
     word order induced by the declared symbol order (name order when no
     declaration is given).  Serialization-only; never affects semantics."""
-    if len(p._terms) < 2:
-        return [(_decode(w), c) for w, c in p._terms.items()]
+    return term_sorter((p,), order)(p)
+
+
+def term_sorter(polys: Iterable[Poly], order: Sequence[str] | None = None,
+                spell: Callable[[Symbol], object] = lambda sym: sym) -> Callable[[Poly], list]:
+    """``sorted_terms`` for any poly over the symbols of ``polys``, spelling each
+    symbol as ``spell(sym)``; the order is total, so one table serves them all."""
     rank = {name: i for i, name in enumerate(order or ())}
 
-    def sym_key(code: str) -> tuple:
-        sym = _symbols[ord(code)]
+    def sym_key(sym: Symbol) -> tuple:
         if sym.kind == SCHEMATIC:
             return (2, 0, sym.name, sym.uid)
         declared = sym.name in rank
         return (0 if declared else 1, rank.get(sym.name, 0), sym.name, sym.uid)
 
     # recode the symbols present by rank, so words compare as plain strs
-    present = sorted(set().union(*p._terms), key=sym_key)
-    recode = {ord(code): chr(i) for i, code in enumerate(present)}
+    present = [(_codes[sym], sym) for sym in sorted(symbols_of(polys), key=sym_key)]
+    recode = {ord(code): chr(i) for i, (code, _) in enumerate(present)}
+    spelled = {code: spell(sym) for code, sym in present}.__getitem__
 
     def key(item: tuple[str, int]) -> tuple:
         return (-len(item[0]), item[0].translate(recode))
 
-    return [(_decode(w), c) for w, c in sorted(p._terms.items(), key=key)]
+    def terms(p: Poly) -> list[tuple[tuple, int]]:
+        items = sorted(p._terms.items(), key=key) if len(p._terms) > 1 else p._terms.items()
+        return [(tuple(map(spelled, w)), c) for w, c in items]
+
+    return terms
 
 
 def format_poly(p: Poly, order: Sequence[str] | None = None) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import sys
@@ -26,6 +27,8 @@ from nilcert import (
     fresh_schematic,
     serialize,
 )
+from nilcert.ring import SCHEMATIC, Symbol, sorted_terms
+from nilcert.witness import Add, Intro, IntroFamily, Mult, Red, Semiprime, Zero
 
 x = Poly.symbol(base_symbol("x"))
 y = Poly.symbol(base_symbol("y"))
@@ -77,6 +80,87 @@ def test_round_trip_random_witnesses():
         for dag in (p, q):
             cert = certificate_from_dag(dag)
             assert deserialize(serialize(cert)) == cert
+
+
+OPS = {Intro: "intro", IntroFamily: "intro_family", Zero: "zero", Add: "add",
+       Mult: "mult", Red: "red", Semiprime: "semiprime"}
+KEYS = {"gen_index": "gen", "family_index": "family"}
+
+
+def reference_serialize(cert: Certificate) -> bytes:
+    """The wire format written one polynomial at a time from the public API."""
+
+    def poly(p):
+        return [[str(c), [s.encode() for s in w]] for w, c in sorted_terms(p, cert.symbols)]
+
+    def value(v):
+        return poly(v) if isinstance(v, Poly) else v.encode() if isinstance(v, Symbol) else v
+
+    nodes = [
+        {"id": i, "op": OPS[type(n)],
+         **{KEYS.get(f.name, f.name): value(getattr(n, f.name)) for f in dataclasses.fields(n)}}
+        for i, n in enumerate(cert.nodes)
+    ]
+    obj = {
+        "version": cert.version,
+        "setting": cert.setting,
+        "symbols": list(cert.symbols),
+        "generators": [poly(p) for p in cert.generators.elements],
+        "families": [{"left": poly(l), "right": poly(r)} for l, r in cert.generators.families],
+        "claim": poly(cert.claim),
+        "nodes": nodes,
+        "root": cert.root,
+    }
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+
+
+def test_serialize_matches_the_one_poly_reference_encoder():
+    # Symbols registered in the table in reverse print order, so code
+    # order and serialization order disagree; some declared (in a random
+    # order), some base symbols left undeclared, some schematic.
+    bases = [base_symbol(f"ser{i:03d}") for i in range(12, 0, -1)]
+    schematics = [Symbol("ser", SCHEMATIC, 990_000 + i) for i in range(6, 0, -1)]
+    for sym in bases + schematics:
+        Poly.symbol(sym)
+    pool = bases + schematics + [base_symbol("x"), base_symbol("y")]
+    names = [s.name for s in pool if not s.is_schematic]
+    rng = random.Random(1_729)
+
+    def rand_poly():
+        p = Poly.zero()
+        for _ in range(rng.randint(0, 5)):
+            word = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
+            p = p + Poly.word(word, rng.choice((-7, -1, 1, 2, 30)))
+        return p
+
+    for _ in range(150):
+        shared = [rand_poly() for _ in range(3)]
+
+        def some_poly():
+            return rng.choice(shared) if rng.random() < 0.3 else rand_poly()
+
+        node_kinds = [
+            lambda: Intro(rng.randrange(3)),
+            lambda: IntroFamily(rng.randrange(3), some_poly()),
+            lambda: Zero(),
+            lambda: Add(rng.randrange(9), rng.randrange(9)),
+            lambda: Mult(some_poly(), rng.randrange(9), some_poly()),
+            lambda: Red(rng.randrange(9), some_poly()),
+            lambda: Semiprime(rng.choice(schematics), rng.randrange(9), some_poly()),
+        ]
+        declared = tuple(rng.sample(names, rng.randint(0, len(names))))
+        cert = Certificate(
+            setting=rng.choice((NIL, SQRT)),
+            symbols=declared,
+            generators=GeneratorSet(
+                [some_poly() for _ in range(rng.randint(0, 3))],
+                [(some_poly(), some_poly()) for _ in range(rng.randint(0, 2))],
+            ),
+            claim=some_poly(),
+            nodes=tuple(rng.choice(node_kinds)() for _ in range(rng.randint(0, 9))),
+            root=rng.randrange(9),
+        )
+        assert serialize(cert) == reference_serialize(cert)
 
 
 def test_deserialize_rejects_bad_bytes():
@@ -152,6 +236,30 @@ def mutate(field_path, value) -> bytes:
 def test_deserialize_rejects_bad_shapes(path, value, fragment):
     with pytest.raises(MalformedCertificateError, match=fragment):
         deserialize(mutate(path, value))
+
+
+def test_repeated_bad_symbols_are_blamed_at_their_first_path():
+    obj = json.loads(serialize(small_cert()))
+    obj["generators"][0][0][1] = ["x", "q"]
+    obj["claim"] = [["1", ["q"]], ["2", ["q", "x"]]]
+    # a spelling that passed in another certificate proves nothing here
+    deserialize(json.dumps({**obj, "symbols": ["q", "x", "y"]}).encode())
+    with pytest.raises(MalformedCertificateError,
+                       match=r"^generators\[0\]\[0\]\[1\]\[1\]: symbol 'q' not declared"):
+        deserialize(json.dumps(obj).encode())
+    obj["generators"][0][0][1] = ["x#y", "x"]
+    obj["claim"] = [["1", ["x#y"]]]
+    with pytest.raises(MalformedCertificateError,
+                       match=r"^generators\[0\]\[0\]\[1\]\[0\]: invalid schematic symbol"):
+        deserialize(json.dumps(obj).encode())
+
+
+def test_a_repeated_spelling_still_reserves_its_uid():
+    top = fresh_schematic("z").uid + 10_000
+    obj = json.loads(serialize(small_cert()))
+    obj["claim"] = [["1", ["x", f"z#{top}"]], ["1", [f"z#{top}"]], ["1", [f"z#{top - 1}"]]]
+    deserialize(json.dumps(obj).encode())
+    assert fresh_schematic("z").uid > top
 
 
 def test_deserialize_rejects_stray_node_keys():

@@ -7,6 +7,8 @@ must pass `nilcert check` in a fresh process.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -15,6 +17,7 @@ import sys
 import pytest
 
 import nilcert
+import nilcert.cli as cli
 from nilcert import (
     DagBuilder,
     GeneratorSet,
@@ -27,6 +30,7 @@ from nilcert import (
 )
 
 x, y, z = (Poly.symbol(base_symbol(n)) for n in "xyz")
+one = Poly.one()
 
 # The directory holding the nilcert this process imported, so the children
 # run the same code as the in-process tests.
@@ -156,6 +160,57 @@ def test_golden_files_regenerate_in_a_fresh_interpreter(tmp_path):
 def test_usage_errors():
     assert run().returncode == 2
     assert run("frobnicate").returncode == 2
+
+
+def main_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as stop:
+            code = stop.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_a_reused_parser_answers_like_a_fresh_one(tmp_path, monkeypatch):
+    monkeypatch.delenv("NILCERT_MAX_NODES", raising=False)
+    path = str(make_three_factor_cert(tmp_path))
+    script = [["demo", "x5"], ["check", path], ["--help"], ["check", path]]
+    fresh = []
+    for argv in script:
+        cli._build_parser.cache_clear()
+        fresh.append(main_in_process(argv))
+    cli._build_parser.cache_clear()
+    reused = [main_in_process(argv) for argv in script]
+    assert cli._build_parser.cache_info().misses == 1
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [2, 0, 0, 0]
+    assert "invalid choice" in reused[0][2]
+    assert reused[1][1] == reused[3][1] == f"{path}: valid (1 nodes, setting nil)\n"
+    assert reused[2][1].startswith("usage: nilcert")
+
+
+def test_importing_the_cli_builds_no_parser():
+    probe = "\n".join([
+        "import argparse",
+        "made = []",
+        "init = argparse.ArgumentParser.__init__",
+        "def counting(self, *args, **kwargs):",
+        "    made.append(self)",
+        "    init(self, *args, **kwargs)",
+        "argparse.ArgumentParser.__init__ = counting",
+        "import nilcert.cli",
+        "at_import = len(made)",
+        "nilcert.cli._build_parser()",
+        "built = len(made)",
+        "nilcert.cli._build_parser()",
+        "print(at_import, built, len(made))",
+    ])
+    result = python("-c", probe)
+    assert result.returncode == 0, result.stderr
+    at_import, built, again = map(int, result.stdout.split())
+    assert at_import == 0
+    assert built > 0 and again == built
 
 
 # -- product -----------------------------------------------------------------
@@ -360,3 +415,27 @@ def test_budget_env_caps_construction(tmp_path):
 
     relaxed = run("product", "prob.txt", "p.json", "q.json", cwd=tmp_path)
     assert relaxed.returncode == 0
+
+
+def test_budget_env_caps_loaded_certificates(tmp_path, monkeypatch):
+    b = DagBuilder(NIL, GeneratorSet((x,)))
+    cert = certificate_from_dag(b.build(b.mult(y, b.mult(y, b.intro(0), one), one)))
+    assert len(cert.nodes) == 3
+    path = tmp_path / "three.json"
+    path.write_bytes(serialize(cert))
+    result = run("check", str(path), env_extra={"NILCERT_MAX_NODES": "2"})
+    assert result.returncode == 1
+    assert "budget" in result.stderr and "Traceback" not in result.stderr
+    assert run("check", str(path), env_extra={"NILCERT_MAX_NODES": "3"}).returncode == 0
+
+    # every other load is refused before the checker evaluates anything
+    def no_check(cert):
+        raise AssertionError("checked a certificate over the budget")
+
+    monkeypatch.setattr(cli, "check_certificate", no_check)
+    monkeypatch.setenv("NILCERT_MAX_NODES", "2")
+    code, out, err = main_in_process(
+        ["permute", str(path), "--factors", "y; y; x", "--sigma", "1,2,3",
+         "-o", str(tmp_path / "out.json")])
+    assert (code, out) == (1, "")
+    assert "budget" in err
