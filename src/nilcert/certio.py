@@ -21,11 +21,12 @@ import json
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from nilcert.checker import check_certificate
 from nilcert.ring import Poly, Symbol, reserve_uids, symbols_of, term_sorter
 from nilcert.witness import (
     Add,
+    BudgetExceededError,
     DEFAULT_MAX_NODES,
-    DagBuilder,
     GeneratorSet,
     Intro,
     IntroFamily,
@@ -428,17 +429,24 @@ def _polys(generators: GeneratorSet, claim: Poly, nodes: tuple[Node, ...]):
 def dag_from_certificate(
     cert: Certificate, max_nodes: int = DEFAULT_MAX_NODES
 ) -> WitnessDag:
-    """Rebuild a trusted WitnessDag from certificate data.
+    """Build a WitnessDag from certificate data the checker accepts.
 
-    Nodes are re-inserted in dependency order through DagBuilder, which
-    re-verifies every side condition; WitnessError is raised if the
-    certificate does not describe a valid witness.  Structural sharing
-    may renumber ids, which transforms never rely on.
+    The checker runs once, and WitnessError carries its verdict when
+    the certificate is invalid.  Generators must also be concrete, as
+    DagBuilder requires.  The DAG wraps the verdict's conclusions with
+    no ring operations: nodes are renumbered in the checker's order and
+    structurally equal nodes are shared, so ids may change, which
+    transforms never rely on.  BudgetExceededError is raised when the
+    shared DAG has more than ``max_nodes`` nodes.
     """
-    builder = DagBuilder(cert.setting, cert.generators, max_nodes)
-    order = _topological(cert.nodes)
-    mapping: dict[int, int] = {}
-    for ident in order:
+    verdict = check_certificate(cert)
+    if not verdict:
+        raise WitnessError(str(verdict))
+    cert.generators.validate_concrete()
+    shared: dict[Node, int] = {}  # each distinct node -> its id, in id order
+    conclusions: list[Poly] = []
+    mapping = [0] * len(cert.nodes)
+    for ident in verdict.order:
         node = cert.nodes[ident]
         if isinstance(node, Add):
             node = Add(mapping[node.left], mapping[node.right])
@@ -448,49 +456,17 @@ def dag_from_certificate(
             node = Red(mapping[node.premise], node.conclusion)
         elif isinstance(node, Semiprime):
             node = Semiprime(node.bound, mapping[node.premise], node.conclusion)
-        mapping[ident] = builder.add_node(node)
-    if cert.root not in mapping:
-        raise WitnessError(f"root {cert.root} is not a node id")
-    dag = builder.build(mapping[cert.root])
-    if dag.conclusion != cert.claim:
-        raise WitnessError("claim differs from the root conclusion")
-    return dag
-
-
-def _node_children(node: Node) -> tuple[int, ...]:
-    if isinstance(node, Add):
-        return (node.left, node.right)
-    if isinstance(node, Mult):
-        return (node.inner,)
-    if isinstance(node, (Red, Semiprime)):
-        return (node.premise,)
-    return ()
-
-
-def _topological(nodes: tuple[Node, ...]) -> list[int]:
-    n = len(nodes)
-    children: list[tuple[int, ...]] = []
-    for i, node in enumerate(nodes):
-        refs = _node_children(node)
-        for ref in refs:
-            if not 0 <= ref < n:
-                raise WitnessError(f"node {i} references unknown node {ref}")
-        children.append(refs)
-    pending = [len(refs) for refs in children]
-    parents: dict[int, list[int]] = {}
-    for i, refs in enumerate(children):
-        for ref in refs:
-            parents.setdefault(ref, []).append(i)
-    ready = [i for i in range(n) if pending[i] == 0]
-    out: list[int] = []
-    while ready:
-        i = ready.pop()
-        out.append(i)
-        for parent in parents.get(i, ()):
-            pending[parent] -= 1
-            if pending[parent] == 0:
-                ready.append(parent)
-    if len(out) != n:
-        stuck = min(i for i in range(n) if pending[i] > 0)
-        raise WitnessError(f"reference cycle through node {stuck}")
-    return out
+        new_id = shared.get(node)
+        if new_id is None:
+            if len(shared) >= max_nodes:
+                raise BudgetExceededError(f"node budget {max_nodes} exceeded")
+            new_id = shared[node] = len(shared)
+            conclusions.append(verdict.conclusions[ident])
+        mapping[ident] = new_id
+    return WitnessDag(
+        setting=cert.setting,
+        generators=cert.generators,
+        nodes=tuple(shared),
+        conclusions=tuple(conclusions),
+        root=mapping[cert.root],
+    )

@@ -21,15 +21,21 @@ A schematic symbol occurring in a generator is rejected only when it is
 some Semiprime node's bound (the capture condition); a never-bound
 schematic generator is semantically just another indeterminate and
 cannot make an accepted claim unsound.
+
+A valid verdict also carries the checker's topological order and the
+conclusion of every node, so callers reuse this one evaluation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from nilcert.certio import Certificate
 from nilcert.ring import Poly
 from nilcert.witness import Add, Intro, IntroFamily, Mult, Red, Semiprime, Zero
+
+if TYPE_CHECKING:  # certio imports this module
+    from nilcert.certio import Certificate
 
 __all__ = [
     "BAD_REF",
@@ -60,6 +66,8 @@ class Verdict:
     node: int | None = None
     reason: str | None = None
     detail: str = ""
+    order: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    conclusions: tuple[Poly, ...] = field(default=(), compare=False, repr=False)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -69,9 +77,6 @@ class Verdict:
             return "valid"
         where = f"node {self.node}" if self.node is not None else "certificate"
         return f"invalid: {where}: {self.reason}: {self.detail}"
-
-
-_VALID = Verdict(True)
 
 
 def _invalid(node: int | None, reason: str, detail: str) -> Verdict:
@@ -111,20 +116,20 @@ def check_certificate(cert: Certificate) -> Verdict:
         elif isinstance(node, Add):
             for ref in (node.left, node.right):
                 if not 0 <= ref < n:
-                    return _invalid(i, BAD_REF, f"reference {ref}")
+                    return _invalid(i, BAD_REF, f"reference to unknown node {ref}")
         elif isinstance(node, Mult):
             if not 0 <= node.inner < n:
-                return _invalid(i, BAD_REF, f"reference {node.inner}")
+                return _invalid(i, BAD_REF, f"reference to unknown node {node.inner}")
         elif isinstance(node, Red):
             if setting != "nil":
                 return _invalid(i, WRONG_SETTING, "Red outside nil setting")
             if not 0 <= node.premise < n:
-                return _invalid(i, BAD_REF, f"reference {node.premise}")
+                return _invalid(i, BAD_REF, f"reference to unknown node {node.premise}")
         elif isinstance(node, Semiprime):
             if setting != "sqrt":
                 return _invalid(i, WRONG_SETTING, "Semiprime outside sqrt setting")
             if not 0 <= node.premise < n:
-                return _invalid(i, BAD_REF, f"reference {node.premise}")
+                return _invalid(i, BAD_REF, f"reference to unknown node {node.premise}")
             if not node.bound.is_schematic:
                 return _invalid(i, SEMIPRIME_SHAPE, "bound symbol is not schematic")
         else:
@@ -151,7 +156,7 @@ def check_certificate(cert: Certificate) -> Verdict:
                 ready.append(parent)
     if len(order) != n:
         stuck = min(i for i in range(n) if pending[i] > 0)
-        return _invalid(stuck, CYCLE, "node depends on itself")
+        return _invalid(stuck, CYCLE, "node lies on a reference cycle")
 
     # conclusions, children first
     concl: list[Poly] = [Poly.zero()] * n
@@ -190,7 +195,7 @@ def check_certificate(cert: Certificate) -> Verdict:
 
     if concl[cert.root] != cert.claim:
         return _invalid(cert.root, CLAIM_MISMATCH, "claim differs from root conclusion")
-    return _VALID
+    return Verdict(True, order=tuple(order), conclusions=tuple(concl))
 
 
 def _children(node) -> tuple[int, ...]:

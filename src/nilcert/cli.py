@@ -33,7 +33,7 @@ from nilcert.transforms import (
     sqrt_intersect,
     sqrt_product,
 )
-from nilcert.witness import DEFAULT_MAX_NODES, GeneratorSet, WitnessError
+from nilcert.witness import DEFAULT_MAX_NODES, GeneratorSet, WitnessDag, WitnessError
 
 __all__ = ["main"]
 
@@ -43,8 +43,8 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _load_checked(path: str, max_nodes: int) -> Certificate:
-    """Read, parse, and semantically check a certificate file.
+def _load(path: str, max_nodes: int) -> Certificate:
+    """Read and parse a certificate file.
 
     A certificate with more nodes than the budget is refused before the
     checker evaluates anything.
@@ -53,27 +53,39 @@ def _load_checked(path: str, max_nodes: int) -> Certificate:
         cert = deserialize(handle.read())
     if len(cert.nodes) > max_nodes:
         raise _InvalidInput(f"{path}: {len(cert.nodes)} nodes exceed the node budget {max_nodes}")
-    verdict = check_certificate(cert)
-    if not verdict:
-        raise _InvalidInput(f"{path}: {verdict}")
     return cert
+
+
+def _load_dag(path: str, max_nodes: int) -> tuple[Certificate, WitnessDag]:
+    """Read a certificate file and build its DAG, checking it once."""
+    cert = _load(path, max_nodes)
+    try:
+        return cert, dag_from_certificate(cert, max_nodes)
+    except WitnessError as err:
+        raise _InvalidInput(f"{path}: {err}") from None
 
 
 class _InvalidInput(Exception):
     """Semantically bad input; maps to exit code 1."""
 
 
-def _write_cert(cert: Certificate, path: str) -> None:
+def _require_valid(cert: Certificate, context: str) -> None:
+    # the verdict's conclusions are freed on return, before any writing
     verdict = check_certificate(cert)
     if not verdict:
-        raise _InvalidInput(f"produced certificate failed validation: {verdict}")
+        raise _InvalidInput(f"{context}: {verdict}")
+
+
+def _write_cert(cert: Certificate, path: str) -> None:
+    _require_valid(cert, "produced certificate failed validation")
     with open(path, "wb") as handle:
         handle.write(serialize(cert))
     print(path)
 
 
 def _cmd_check(args, max_nodes: int) -> int:
-    cert = _load_checked(args.certificate, max_nodes)
+    cert = _load(args.certificate, max_nodes)
+    _require_valid(cert, args.certificate)
     print(f"{args.certificate}: valid ({len(cert.nodes)} nodes, setting {cert.setting})")
     return 0
 
@@ -114,8 +126,8 @@ def _cmd_product(args, max_nodes: int) -> int:
     setting = _require_setting(args.setting, problem.setting)
     common, a, b = _split_product_generators(problem)
     families = problem.family_polys()
-    p_cert = _load_checked(args.p_certificate, max_nodes)
-    q_cert = _load_checked(args.q_certificate, max_nodes)
+    p_cert, p_dag = _load_dag(args.p_certificate, max_nodes)
+    q_cert, q_dag = _load_dag(args.q_certificate, max_nodes)
     _require_setting(setting, p_cert.setting, q_cert.setting)
     expect_p = GeneratorSet(common + (a,), families)
     expect_q = GeneratorSet(common + (b,), families)
@@ -123,8 +135,6 @@ def _cmd_product(args, max_nodes: int) -> int:
         raise _InvalidInput(f"{args.p_certificate}: generators do not match the problem's U, a")
     if q_cert.generators != expect_q:
         raise _InvalidInput(f"{args.q_certificate}: generators do not match the problem's U, b")
-    p_dag = dag_from_certificate(p_cert, max_nodes)
-    q_dag = dag_from_certificate(q_cert, max_nodes)
     if setting == "nil":
         if args.m is not None:
             raise _InvalidInput("--m only applies to the sqrt setting")
@@ -141,7 +151,7 @@ def _cmd_product(args, max_nodes: int) -> int:
 
 
 def _cmd_permute(args, max_nodes: int) -> int:
-    cert = _load_checked(args.certificate, max_nodes)
+    cert, dag = _load_dag(args.certificate, max_nodes)
     factor_srcs = [s.strip() for s in args.factors.split(";") if s.strip()]
     factors = [parse_poly(src, cert.symbols) for src in factor_srcs]
     try:
@@ -151,7 +161,6 @@ def _cmd_permute(args, max_nodes: int) -> int:
     sigma = Permutation(images)  # ValueError (exit 2) if not a bijection
     if sigma.n != len(factors):
         return _fail(2, f"--sigma has {sigma.n} entries for {len(factors)} factors")
-    dag = dag_from_certificate(cert, max_nodes)
     out_dag = permute(dag, factors, sigma, max_nodes)
     out_cert = certificate_from_dag(out_dag, symbols=cert.symbols)
     _write_cert(out_cert, args.out or "permuted.cert.json")
@@ -159,13 +168,11 @@ def _cmd_permute(args, max_nodes: int) -> int:
 
 
 def _cmd_intersect(args, max_nodes: int) -> int:
-    p_cert = _load_checked(args.p_certificate, max_nodes)
-    q_cert = _load_checked(args.q_certificate, max_nodes)
+    p_cert, p_dag = _load_dag(args.p_certificate, max_nodes)
+    q_cert, q_dag = _load_dag(args.q_certificate, max_nodes)
     setting = _require_setting(args.setting, p_cert.setting, q_cert.setting)
     if p_cert.claim != q_cert.claim:
         raise _InvalidInput("the two certificates claim different elements")
-    p_dag = dag_from_certificate(p_cert, max_nodes)
-    q_dag = dag_from_certificate(q_cert, max_nodes)
     if setting == "nil":
         out_dag = nil_intersect(p_dag, q_dag, max_nodes)
     else:

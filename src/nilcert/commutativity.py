@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from nilcert.certio import Certificate, certificate_from_dag, _topological
+from nilcert.certio import Certificate, certificate_from_dag
 from nilcert.checker import check_certificate
 from nilcert.lang import print_poly
 from nilcert.ring import Poly, Symbol, base_symbol
@@ -114,11 +114,15 @@ def central_roots_witness(cs: CentralConstants) -> Certificate:
     Folds nil_intersect left to right over the per-factor witnesses;
     the fold order is fixed only so output bytes are reproducible.
     """
+    return certificate_from_dag(_central_roots_dag(cs), symbols=("x", "y"))
+
+
+def _central_roots_dag(cs: CentralConstants) -> WitnessDag:
     x, y = base_symbol("x"), base_symbol("y")
     dag = commutator_factor_witness(cs.constants[0], x, y)
     for c in cs.constants[1:]:
         dag = nil_intersect(dag, commutator_factor_witness(c, x, y))
-    return certificate_from_dag(dag, symbols=("x", "y"))
+    return dag
 
 
 _DEMOS = {2: (0, 1), 3: (0, 1, -1)}
@@ -135,7 +139,9 @@ def xn_demo(n: int) -> tuple[Certificate, ProofLog]:
         raise UnsupportedExponentError(
             f"no all-integer linear factorization of x^{n} - x; supported: 2, 3"
         )
-    cert = central_roots_witness(CentralConstants(_DEMOS[n]))
+    # the certificate keeps the DAG's node ids, so its conclusions apply
+    dag = _central_roots_dag(CentralConstants(_DEMOS[n]))
+    cert = certificate_from_dag(dag, symbols=("x", "y"))
     generator = print_poly(cert.generators.elements[0], cert.symbols)
     claim = print_poly(cert.claim, cert.symbols)
     if n == 3:
@@ -150,7 +156,7 @@ def xn_demo(n: int) -> tuple[Certificate, ProofLog]:
         )
     steps = (
         ProofStep(reduced, "narrative"),
-        *_replay_steps(cert),
+        *_replay_steps(cert, dag.conclusions),
         ProofStep(
             f"{claim} is in Nil({generator}) by the intersection rule "
             "Nil(U,a) & Nil(U,b) <= Nil(U,a*b), folded over the linear factors "
@@ -174,12 +180,11 @@ def emit_proof_log(cert: Certificate, style: str = "text") -> str:
     verdict = check_certificate(cert)
     if not verdict:
         raise WitnessError(str(verdict))
-    return ProofLog(_replay_steps(cert)).render(style)
+    return ProofLog(_replay_steps(cert, verdict.conclusions)).render(style)
 
 
-def _replay_steps(cert: Certificate) -> tuple[ProofStep, ...]:
+def _replay_steps(cert: Certificate, concl: tuple[Poly, ...]) -> tuple[ProofStep, ...]:
     ideal = "Nil" if cert.setting == "nil" else "sqrt"
-    concl = _conclusions(cert)
     steps = []
     for i, node in enumerate(cert.nodes):
         if isinstance(node, Intro):
@@ -205,22 +210,3 @@ def _replay_steps(cert: Certificate) -> tuple[ProofStep, ...]:
         statement = f"{print_poly(concl[i], cert.symbols)} is in {ideal}(U): {rule}."
         steps.append(ProofStep(statement, "certified", (i, i)))
     return tuple(steps)
-
-
-def _conclusions(cert: Certificate) -> list[Poly]:
-    gens = cert.generators
-    concl: list[Poly] = [Poly.zero()] * len(cert.nodes)
-    for i in _topological(cert.nodes):
-        node = cert.nodes[i]
-        if isinstance(node, Intro):
-            concl[i] = gens.elements[node.gen_index]
-        elif isinstance(node, IntroFamily):
-            left, right = gens.families[node.family_index]
-            concl[i] = left * node.instance * right
-        elif isinstance(node, Add):
-            concl[i] = concl[node.left] + concl[node.right]
-        elif isinstance(node, Mult):
-            concl[i] = node.left * concl[node.inner] * node.right
-        elif isinstance(node, (Red, Semiprime)):
-            concl[i] = node.conclusion
-    return concl

@@ -391,7 +391,7 @@ def term_sorter(polys: Iterable[Poly], order: Sequence[str] | None = None,
 
 def format_poly(p: Poly, order: Sequence[str] | None = None) -> str:
     """Deterministic text form; re-parseable when only base symbols occur."""
-    terms = sorted_terms(p, order)
+    terms = term_sorter((p,), order, Symbol.encode)(p)
     if not terms:
         return "0"
     chunks: list[str] = []
@@ -404,7 +404,7 @@ def format_poly(p: Poly, order: Sequence[str] | None = None) -> str:
     return "".join(chunks)
 
 
-def _format_term(word: Word, magnitude: int) -> str:
+def _format_term(word: tuple[str, ...], magnitude: int) -> str:
     if not word:
         return str(magnitude)
     factors: list[str] = [] if magnitude == 1 else [str(magnitude)]
@@ -413,7 +413,6 @@ def _format_term(word: Word, magnitude: int) -> str:
         j = i
         while j < len(word) and word[j] == word[i]:
             j += 1
-        name = word[i].encode()
-        factors.append(name if j - i == 1 else f"{name}^{j - i}")
+        factors.append(word[i] if j - i == 1 else f"{word[i]}^{j - i}")
         i = j
     return "*".join(factors)

@@ -334,16 +334,17 @@ def sqrt_product(
     out = DagBuilder(SQRT, GeneratorSet(common, families + ((a, b),)), max_nodes)
     distinguished = len(common)
     new_family = len(families)
+    # every DAG the recursion visits; memo keys name a DAG by its index here
+    dags: list[WitnessDag] = [p, q]
     memo: dict[tuple[int, int, int, int, Poly], int] = {}
-    pinned: list[WitnessDag] = [p, q]  # keep ids stable for memo keys
 
-    def prod(dp: WitnessDag, pi: int, dq: WitnessDag, qi: int, mid: Poly) -> int:
-        key = (id(dp), pi, id(dq), qi, mid)
+    def prod(dp: int, pi: int, dq: int, qi: int, mid: Poly) -> int:
+        key = (dp, pi, dq, qi, mid)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        node = dp.nodes[pi]
-        y = dq.conclusions[qi]
+        node = dags[dp].nodes[pi]
+        y = dags[dq].conclusions[qi]
         if isinstance(node, Intro) and node.gen_index != distinguished:
             out_id = out.mult(_ONE, out.intro(node.gen_index), mid * y)
         elif isinstance(node, IntroFamily):
@@ -364,21 +365,21 @@ def sqrt_product(
             x = node.conclusion
             t = fresh_schematic(node.bound.name)
             premise_dag = substitute_schematic(
-                replace(dp, root=node.premise),
+                replace(dags[dp], root=node.premise),
                 node.bound,
                 mid * y * Poly.symbol(t),
                 max_nodes,
             )
-            pinned.append(premise_dag)
-            inner = prod(premise_dag, premise_dag.root, dq, qi, mid)
+            dags.append(premise_dag)
+            inner = prod(len(dags) - 1, premise_dag.root, dq, qi, mid)
             out_id = out.semiprime(t, inner, x * mid * y)
         else:
             raise TransformError(f"unexpected node in sqrt witness: {node!r}")
         memo[key] = out_id
         return out_id
 
-    def prod_right(dp: WitnessDag, pi: int, dq: WitnessDag, qi: int, mid: Poly) -> int:
-        node = dq.nodes[qi]
+    def prod_right(dp: int, pi: int, dq: int, qi: int, mid: Poly) -> int:
+        node = dags[dq].nodes[qi]
         if isinstance(node, Intro) and node.gen_index != distinguished:
             return out.mult(a * mid, out.intro(node.gen_index), _ONE)
         if isinstance(node, IntroFamily):
@@ -399,17 +400,17 @@ def sqrt_product(
             y = node.conclusion
             t = fresh_schematic(node.bound.name)
             premise_dag = substitute_schematic(
-                replace(dq, root=node.premise),
+                replace(dags[dq], root=node.premise),
                 node.bound,
                 Poly.symbol(t) * a * mid,
                 max_nodes,
             )
-            pinned.append(premise_dag)
-            inner = prod(dp, pi, premise_dag, premise_dag.root, mid)
+            dags.append(premise_dag)
+            inner = prod(dp, pi, len(dags) - 1, premise_dag.root, mid)
             return out.semiprime(t, inner, a * mid * y)
         raise TransformError(f"unexpected node in sqrt witness: {node!r}")
 
-    return out.build(prod(p, p.root, q, q.root, m))
+    return out.build(prod(0, p.root, 1, q.root, m))
 
 
 def sqrt_intersect(

@@ -156,8 +156,9 @@ class GeneratorSet:
 class WitnessDag:
     """An immutable, valid-by-construction derivation.
 
-    Only DagBuilder creates these; every invariant (reference order,
-    side conditions, cached conclusions) was checked during building.
+    DagBuilder creates these, checking every invariant (reference
+    order, side conditions, cached conclusions) during building;
+    dag_from_certificate creates one from a verdict the checker accepted.
     """
 
     setting: str

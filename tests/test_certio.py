@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
+import pathlib
 import random
 import sys
 
 import pytest
 
 import witgen
+import nilcert.cli
 from nilcert import (
+    BudgetExceededError,
     Certificate,
     DagBuilder,
     GeneratorSet,
@@ -22,6 +27,7 @@ from nilcert import (
     WitnessError,
     base_symbol,
     certificate_from_dag,
+    check_certificate,
     dag_from_certificate,
     deserialize,
     fresh_schematic,
@@ -351,3 +357,74 @@ def test_dag_round_trip_preserves_conclusions():
         back = dag_from_certificate(cert)
         assert back.conclusion == p.conclusion
         assert back.generators == p.generators
+
+
+REFERENCE_FIELDS = ("left", "right", "inner", "premise")
+
+
+def renumbered(node, new_id):
+    """The node with every reference r replaced by new_id(r)."""
+    refs = {
+        name: new_id(getattr(node, name))
+        for name in REFERENCE_FIELDS
+        if isinstance(getattr(node, name, None), int)
+    }
+    return dataclasses.replace(node, **refs)
+
+
+def readmitted(cert: Certificate):
+    """Reference DAG: every node re-admitted through DagBuilder in the
+    checker's order, so each side condition is verified a second time."""
+    builder = DagBuilder(cert.setting, cert.generators)
+    mapping: dict[int, int] = {}
+    for ident in check_certificate(cert).order:
+        mapping[ident] = builder.add_node(renumbered(cert.nodes[ident], mapping.__getitem__))
+    return builder.build(mapping[cert.root])
+
+
+def shuffled_with_duplicate(cert: Certificate, rng: random.Random) -> Certificate:
+    """The same derivation with node ids permuted and one node repeated."""
+    new_id = list(range(len(cert.nodes)))
+    rng.shuffle(new_id)
+    nodes = [None] * len(cert.nodes)
+    for old, node in enumerate(cert.nodes):
+        nodes[new_id[old]] = renumbered(node, new_id.__getitem__)
+    nodes.append(rng.choice(nodes))
+    return dataclasses.replace(cert, nodes=tuple(nodes), root=new_id[cert.root])
+
+
+def test_dag_from_certificate_matches_a_readmitted_reference(tmp_path):
+    rng = random.Random(43)
+    golden = pathlib.Path(__file__).parent / "golden"
+    certs = [deserialize(path.read_bytes()) for path in sorted(golden.glob("*.cert.json"))]
+    for _ in range(15):
+        certs.append(certificate_from_dag(witgen.nil_pair(rng, ("x", "y"), rng.randint(0, 4))[0]))
+        p, _ = witgen.sqrt_pair(rng, ("x", "y"), rng.randint(0, 4), force_semiprime=True)
+        certs.append(certificate_from_dag(p))
+    certs += [shuffled_with_duplicate(cert, rng) for cert in certs]
+    for cert in certs:
+        got, want = dag_from_certificate(cert), readmitted(cert)
+        assert (got.setting, got.generators) == (want.setting, want.generators)
+        assert got.nodes == want.nodes
+        assert got.conclusions == want.conclusions
+        assert got.root == want.root
+        assert len(dag_from_certificate(cert, len(want.nodes))) == len(want.nodes)
+        with pytest.raises(BudgetExceededError):
+            dag_from_certificate(cert, len(want.nodes) - 1)
+
+    # the checker accepts a never-bound schematic generator; a DAG cannot hold one
+    q = Poly.symbol(fresh_schematic("q"))
+    cert = Certificate("sqrt", ("x",), GeneratorSet((q,)), q, (Intro(0),), 0)
+    assert check_certificate(cert).ok
+    with pytest.raises(WitnessError, match="schematic symbol"):
+        dag_from_certificate(cert)
+
+    path = tmp_path / "schematic.json"
+    path.write_bytes(serialize(cert))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = nilcert.cli.main(["permute", str(path), "--factors", "x", "--sigma", "1",
+                                 "-o", str(tmp_path / "out.json")])
+    assert code == 1
+    assert "schematic symbol" in err.getvalue()
+    assert not (tmp_path / "out.json").exists()

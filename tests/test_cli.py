@@ -17,6 +17,7 @@ import sys
 import pytest
 
 import nilcert
+import nilcert.certio as certio
 import nilcert.cli as cli
 from nilcert import (
     DagBuilder,
@@ -433,9 +434,54 @@ def test_budget_env_caps_loaded_certificates(tmp_path, monkeypatch):
         raise AssertionError("checked a certificate over the budget")
 
     monkeypatch.setattr(cli, "check_certificate", no_check)
+    monkeypatch.setattr(certio, "check_certificate", no_check)
     monkeypatch.setenv("NILCERT_MAX_NODES", "2")
     code, out, err = main_in_process(
         ["permute", str(path), "--factors", "y; y; x", "--sigma", "1,2,3",
          "-o", str(tmp_path / "out.json")])
     assert (code, out) == (1, "")
     assert "budget" in err
+
+
+def test_each_loaded_certificate_is_verified_once(tmp_path, monkeypatch):
+    monkeypatch.delenv("NILCERT_MAX_NODES", raising=False)
+    path = make_three_factor_cert(tmp_path)
+    write_product_cert(tmp_path / "p.json", NIL, (x,), Poly.one(), y)
+    write_product_cert(tmp_path / "q.json", NIL, (y,), x, Poly.one())
+    checked, admitted, admitted_before_transform = [], [], []
+
+    def counting_check(cert, check=cli.check_certificate):
+        checked.append(cert)
+        return check(cert)
+
+    def counting_admit(builder, node, admit=DagBuilder._admit):
+        admitted.append(node)
+        return admit(builder, node)
+
+    def after_loading(transform):
+        def wrapper(*args, **kwargs):
+            admitted_before_transform.append(len(admitted))
+            return transform(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "check_certificate", counting_check)
+    monkeypatch.setattr(certio, "check_certificate", counting_check)
+    monkeypatch.setattr(DagBuilder, "_admit", counting_admit)
+    monkeypatch.setattr(cli, "permute", after_loading(cli.permute))
+    monkeypatch.setattr(cli, "nil_intersect", after_loading(cli.nil_intersect))
+
+    code, _, err = main_in_process(
+        ["permute", str(path), "--factors", "x; y; z", "--sigma", "1,2,3",
+         "-o", str(tmp_path / "same.json")])
+    assert code == 0, err
+    assert len(checked) == 2  # the input, then the output before writing
+    assert admitted_before_transform == [0]
+
+    checked.clear()
+    admitted.clear()
+    code, _, err = main_in_process(
+        ["intersect", str(tmp_path / "p.json"), str(tmp_path / "q.json"),
+         "-o", str(tmp_path / "both.json")])
+    assert code == 0, err
+    assert len(checked) == 3
+    assert admitted_before_transform == [0, 0]
