@@ -10,9 +10,14 @@ where poly = [[coeff, [symbol, ...]], ...] with decimal-string
 coefficients in graded-lex order, and each node is {"id", "op", ...}
 with dense ids.  Schematic symbols are written "name#uid".
 
-deserialize validates structure only; whether the derivation itself
-holds is the checker's job, so reference targets, cycles, and side
-conditions all pass through untouched.
+serialize writes the bytes of ``json.dumps(obj, sort_keys=True,
+separators=(",", ":"))`` plus a newline, assembled as text with each
+distinct polynomial value rendered once.  deserialize validates
+structure only; whether the derivation itself holds is the checker's
+job, so reference targets, cycles, and side conditions all pass through
+untouched.  Symbols are interned (one object per spelling), and the
+reader builds ring words straight from the codes of the spellings it
+has already validated in the same certificate.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from nilcert.checker import check_certificate
-from nilcert.ring import Poly, Symbol, reserve_uids, symbols_of, term_sorter
+from nilcert.ring import Poly, Symbol, _code, _wrap, reserve_uids, symbols_of, term_sorter
 from nilcert.witness import (
     Add,
     BudgetExceededError,
@@ -90,82 +95,91 @@ class Certificate:
 # -- writing ----------------------------------------------------------
 
 
-def _node_json(node: Node, ident: int, poly: Callable[[Poly], list]) -> dict:
+def _node_json(node: Node, ident: int, poly: Callable[[Poly], str]) -> str:
+    # keys in sorted order, as json.dumps(sort_keys=True) writes them
     if isinstance(node, Intro):
-        return {"id": ident, "op": "intro", "gen": node.gen_index}
+        return f'{{"gen":{node.gen_index},"id":{ident},"op":"intro"}}'
     if isinstance(node, IntroFamily):
-        return {
-            "id": ident,
-            "op": "intro_family",
-            "family": node.family_index,
-            "instance": poly(node.instance),
-        }
+        return (f'{{"family":{node.family_index},"id":{ident},'
+                f'"instance":{poly(node.instance)},"op":"intro_family"}}')
     if isinstance(node, Zero):
-        return {"id": ident, "op": "zero"}
+        return f'{{"id":{ident},"op":"zero"}}'
     if isinstance(node, Add):
-        return {"id": ident, "op": "add", "left": node.left, "right": node.right}
+        return f'{{"id":{ident},"left":{node.left},"op":"add","right":{node.right}}}'
     if isinstance(node, Mult):
-        return {
-            "id": ident,
-            "op": "mult",
-            "left": poly(node.left),
-            "inner": node.inner,
-            "right": poly(node.right),
-        }
+        return (f'{{"id":{ident},"inner":{node.inner},"left":{poly(node.left)},'
+                f'"op":"mult","right":{poly(node.right)}}}')
     if isinstance(node, Red):
-        return {
-            "id": ident,
-            "op": "red",
-            "premise": node.premise,
-            "conclusion": poly(node.conclusion),
-        }
+        return (f'{{"conclusion":{poly(node.conclusion)},"id":{ident},'
+                f'"op":"red","premise":{node.premise}}}')
     if isinstance(node, Semiprime):
-        return {
-            "id": ident,
-            "op": "semiprime",
-            "bound": node.bound.encode(),
-            "premise": node.premise,
-            "conclusion": poly(node.conclusion),
-        }
+        return (f'{{"bound":{json.dumps(node.bound.encode())},'
+                f'"conclusion":{poly(node.conclusion)},"id":{ident},'
+                f'"op":"semiprime","premise":{node.premise}}}')
     raise TypeError(f"unknown node kind {type(node).__name__}")
 
 
 def serialize(cert: Certificate) -> bytes:
     if cert.version != FORMAT_VERSION:
         raise UnsupportedVersionError(cert.version)
-    # one table orders and spells the symbols of every polynomial
+    # one table orders and spells (as JSON strings) the symbols of every polynomial
     polys = _polys(cert.generators, cert.claim, cert.nodes)
-    terms = term_sorter(polys, cert.symbols, Symbol.encode)
+    terms = term_sorter(polys, cert.symbols, lambda sym: json.dumps(sym.encode()))
+    texts: dict[Poly, str] = {}  # wire text of each distinct polynomial value
 
-    def poly(p: Poly) -> list:
-        return [[str(coeff), word] for word, coeff in terms(p)]
+    def poly(p: Poly) -> str:
+        text = texts.get(p)
+        if text is None:
+            items = ",".join([f'["{c}",[{",".join(w)}]]' for w, c in terms(p)])
+            text = texts[p] = f"[{items}]"
+        return text
 
-    obj = {
-        "version": cert.version,
-        "setting": cert.setting,
-        "symbols": list(cert.symbols),
-        "generators": [poly(p) for p in cert.generators.elements],
-        "families": [
-            {"left": poly(l), "right": poly(r)} for l, r in cert.generators.families
-        ],
-        "claim": poly(cert.claim),
-        "nodes": [_node_json(n, i, poly) for i, n in enumerate(cert.nodes)],
-        "root": cert.root,
-    }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+    families = ",".join(
+        [f'{{"left":{poly(l)},"right":{poly(r)}}}' for l, r in cert.generators.families]
+    )
+    generators = ",".join(map(poly, cert.generators.elements))
+    nodes = ",".join([_node_json(n, i, poly) for i, n in enumerate(cert.nodes)])
+    symbols = json.dumps(list(cert.symbols), separators=(",", ":"))
+    return (
+        f'{{"claim":{poly(cert.claim)},"families":[{families}],'
+        f'"generators":[{generators}],"nodes":[{nodes}],"root":{cert.root},'
+        f'"setting":{json.dumps(cert.setting)},"symbols":{symbols},'
+        f'"version":{FORMAT_VERSION}}}\n'
+    ).encode()
 
 
 # -- reading ----------------------------------------------------------
 
 
+_NODE_KEYS = {
+    op: frozenset(("id", "op", *fields))
+    for op, fields in (
+        ("intro", ("gen",)),
+        ("intro_family", ("family", "instance")),
+        ("zero", ()),
+        ("add", ("left", "right")),
+        ("mult", ("left", "inner", "right")),
+        ("red", ("premise", "conclusion")),
+        ("semiprime", ("bound", "premise", "conclusion")),
+    )
+}
+
+
 class _Reader:
-    """Shape validation with JSON-path error reporting."""
+    """Shape validation with JSON-path error reporting.
+
+    Each symbol spelling and coefficient string is validated once per
+    certificate.  Only a str that has passed goes into the memos, so a
+    polynomial made of remembered strings is read as codes with no
+    per-symbol Python work.  Any other value misses the memos and takes
+    the checked path, which raises each error at the first JSON path
+    that shows it.
+    """
 
     def __init__(self) -> None:
         self.max_uid = -1
-        # spelling -> Symbol, stored only once the spelling has passed, so
-        # each error is still raised at the first path that spells it
-        self.spelled: dict[str, Symbol] = {}
+        self.codes: dict[str, str] = {}  # spelling -> ring code
+        self.coeffs: dict[str, int] = {}  # decimal string -> nonzero int
 
     def fail(self, message: str, where: str) -> MalformedCertificateError:
         return MalformedCertificateError(message, where=where)
@@ -180,53 +194,83 @@ class _Reader:
             raise self.fail("expected an integer", where)
         return value
 
+    def code(self, value: Any, declared: frozenset, where: str) -> str:
+        """The ring code of a symbol spelling, validated on its first use."""
+        code = self.codes.get(value) if isinstance(value, str) else None
+        if code is None:
+            if not isinstance(value, str):
+                raise self.fail("expected a symbol string", where)
+            try:
+                sym = Symbol.decode(value)
+            except ValueError as err:
+                raise self.fail(str(err), where) from None
+            if sym.is_schematic:
+                self.max_uid = max(self.max_uid, sym.uid)
+            elif sym.name not in declared:
+                raise self.fail(f"symbol {sym.name!r} not declared", where)
+            code = self.codes[value] = _code(sym)
+        return code
+
     def symbol(self, value: Any, declared: frozenset, where: str) -> Symbol:
+        self.code(value, declared, where)
+        return Symbol.decode(value)
+
+    def coeff(self, value: Any, where: str) -> int:
         if not isinstance(value, str):
-            raise self.fail("expected a symbol string", where)
-        sym = self.spelled.get(value)
-        if sym is not None:
-            return sym
-        try:
-            sym = Symbol.decode(value)
-        except ValueError as err:
-            raise self.fail(str(err), where) from None
-        if sym.is_schematic:
-            self.max_uid = max(self.max_uid, sym.uid)
-        elif sym.name not in declared:
-            raise self.fail(f"symbol {sym.name!r} not declared", where)
-        self.spelled[value] = sym
-        return sym
+            raise self.fail("coefficient must be a decimal string", where)
+        coeff = self.coeffs.get(value)
+        if coeff is None:
+            digits = value[1:] if value.startswith("-") else value
+            if not digits.isdigit() or (len(digits) > 1 and digits[0] == "0"):
+                raise self.fail(f"bad coefficient {value!r}", where)
+            try:
+                coeff = int(value)
+            except ValueError as err:  # past the interpreter's int/str digit limit
+                raise self.fail(str(err), where) from None
+            if coeff == 0:
+                raise self.fail("zero coefficient stored", where)
+            self.coeffs[value] = coeff
+        return coeff
 
     def poly(self, value: Any, declared: frozenset, where: str) -> Poly:
         if not isinstance(value, list):
             raise self.fail("expected a polynomial term list", where)
-        terms: dict = {}
+        codes, coeffs = self.codes.__getitem__, self.coeffs.get
+        terms: dict[str, int] = {}
+        for item in value:
+            if type(item) is not list or len(item) != 2:
+                break
+            coeff_raw, word_raw = item
+            if type(coeff_raw) is not str or type(word_raw) is not list:
+                break
+            coeff = coeffs(coeff_raw)
+            try:
+                word = "".join(map(codes, word_raw))
+            except (KeyError, TypeError):  # a spelling not yet passed, or not a str
+                break
+            if coeff is None or word in terms:
+                break
+            terms[word] = coeff
+        else:
+            return _wrap(terms)
+        return self.checked_poly(value, declared, where)
+
+    def checked_poly(self, value: list, declared: frozenset, where: str) -> Poly:
+        terms: dict[str, int] = {}
         for i, item in enumerate(value):
             here = f"{where}[{i}]"
             if not (isinstance(item, list) and len(item) == 2):
                 raise self.fail("expected a [coefficient, word] pair", here)
-            coeff_raw, word_raw = item
-            if not isinstance(coeff_raw, str):
-                raise self.fail("coefficient must be a decimal string", here)
-            digits = coeff_raw[1:] if coeff_raw.startswith("-") else coeff_raw
-            if not digits.isdigit() or (len(digits) > 1 and digits[0] == "0"):
-                raise self.fail(f"bad coefficient {coeff_raw!r}", here)
-            try:
-                coeff = int(coeff_raw)
-            except ValueError as err:  # past the interpreter's int/str digit limit
-                raise self.fail(str(err), here) from None
-            if coeff == 0:
-                raise self.fail("zero coefficient stored", here)
-            if not isinstance(word_raw, list):
+            coeff = self.coeff(item[0], here)
+            if not isinstance(item[1], list):
                 raise self.fail("word must be a list of symbols", here)
-            word = tuple(
-                self.symbol(s, declared, f"{here}[1][{j}]")
-                for j, s in enumerate(word_raw)
-            )
+            word = "".join([
+                self.code(s, declared, f"{here}[1][{j}]") for j, s in enumerate(item[1])
+            ])
             if word in terms:
                 raise self.fail("duplicate word in polynomial", here)
             terms[word] = coeff
-        return Poly(terms)
+        return _wrap(terms)
 
     def node(self, value: Any, index: int, declared: frozenset) -> Node:
         where = f"nodes[{index}]"
@@ -235,18 +279,9 @@ class _Reader:
         if self.intval(self.get(value, "id", where), f"{where}.id") != index:
             raise self.fail(f"node id must be {index} (dense ids)", f"{where}.id")
         op = self.get(value, "op", where)
-        known = {
-            "intro": ("gen",),
-            "intro_family": ("family", "instance"),
-            "zero": (),
-            "add": ("left", "right"),
-            "mult": ("left", "inner", "right"),
-            "red": ("premise", "conclusion"),
-            "semiprime": ("bound", "premise", "conclusion"),
-        }
-        if op not in known:
+        if not isinstance(op, str) or op not in _NODE_KEYS:
             raise self.fail(f"unknown op {op!r}", f"{where}.op")
-        extra = set(value) - {"id", "op", *known[op]}
+        extra = value.keys() - _NODE_KEYS[op]
         if extra:
             raise self.fail(f"unexpected keys {sorted(extra)!r}", where)
         if op == "intro":

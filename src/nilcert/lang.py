@@ -16,7 +16,7 @@ text, one `key: value` per line, with `;` separating list items and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from nilcert.ring import Poly, Symbol, base_symbol, commutator, format_poly
 

@@ -17,7 +17,7 @@ import itertools
 import re
 import sys
 import threading
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "BASE",
@@ -40,6 +40,7 @@ BASE = "base"
 SCHEMATIC = "schematic"
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_interned: dict[tuple, "Symbol"] = {}
 
 
 class Symbol:
@@ -49,39 +50,33 @@ class Symbol:
     symbols stand for an arbitrary ring element (a universally
     quantified slot, a family middle, a bound variable).  A symbol is
     identified by its full spelling: a schematic one by ``name#uid``,
-    so ``z#0`` and ``w#0`` are distinct indeterminates.
+    so ``z#0`` and ``w#0`` are distinct indeterminates.  Symbols are
+    interned, one object per spelling, so ``==`` and ``hash`` are identity.
     """
 
     __slots__ = ("name", "kind", "uid")
 
-    def __init__(self, name: str, kind: str = BASE, uid: int = 0):
-        if not _NAME_RE.match(name):
-            raise ValueError(f"invalid symbol name: {name!r}")
-        if kind not in (BASE, SCHEMATIC):
-            raise ValueError(f"invalid symbol kind: {kind!r}")
-        if uid < 0:
-            raise ValueError("symbol uid must be nonnegative")
-        self.name = name
-        self.kind = kind
-        self.uid = uid
+    def __new__(cls, name: str, kind: str = BASE, uid: int = 0) -> "Symbol":
+        sym = _interned.get((kind, name, uid))
+        if sym is None:
+            if not _NAME_RE.match(name):
+                raise ValueError(f"invalid symbol name: {name!r}")
+            if kind not in (BASE, SCHEMATIC):
+                raise ValueError(f"invalid symbol kind: {kind!r}")
+            if uid < 0:
+                raise ValueError("symbol uid must be nonnegative")
+            sym = object.__new__(cls)
+            sym.name, sym.kind, sym.uid = name, kind, uid
+            sym = _interned.setdefault((kind, name, uid), sym)
+        return sym
+
+    def __reduce__(self) -> tuple:
+        # pickle, copy and deepcopy come back to the interned object
+        return (Symbol, (self.name, self.kind, self.uid))
 
     @property
     def is_schematic(self) -> bool:
         return self.kind == SCHEMATIC
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Symbol):
-            return NotImplemented
-        return (self.kind, self.name, self.uid) == (other.kind, other.name, other.uid)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.name, self.uid))
-
-    def sort_key(self) -> tuple:
-        # base symbols before schematic ones; deterministic across runs
-        if self.kind == SCHEMATIC:
-            return (1, self.name, self.uid)
-        return (0, self.name, 0)
 
     def encode(self) -> str:
         """Wire form: plain name for base, ``name#uid`` for schematic."""

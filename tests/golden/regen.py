@@ -1,6 +1,7 @@
 """Regenerate the golden certificates.
 
-Run from the repository root in a fresh interpreter::
+Run from the repository root in a fresh interpreter (the checkout's
+``src/`` is used when no ``nilcert`` is importable)::
 
     python3 tests/golden/regen.py            # rewrite the three files
     python3 tests/golden/regen.py --check    # write nothing; exit 1 if any differs
@@ -16,6 +17,11 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
+
+try:
+    import nilcert  # noqa: F401  (the copy on the path wins, as under pytest)
+except ModuleNotFoundError:  # run from a checkout with nothing on the path
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[2] / "src"))
 
 from nilcert import (
     DagBuilder,

@@ -31,6 +31,7 @@ from nilcert import (
     dag_from_certificate,
     deserialize,
     fresh_schematic,
+    nil_product,
     serialize,
 )
 from nilcert.ring import SCHEMATIC, Symbol, sorted_terms
@@ -132,18 +133,24 @@ def test_serialize_matches_the_one_poly_reference_encoder():
     names = [s.name for s in pool if not s.is_schematic]
     rng = random.Random(1_729)
 
+    huge = [int("9" * 300), -int("8" * 451), 10 ** 200 + 1, -(10 ** 299)]
+
     def rand_poly():
         p = Poly.zero()
         for _ in range(rng.randint(0, 5)):
             word = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
-            p = p + Poly.word(word, rng.choice((-7, -1, 1, 2, 30)))
+            p = p + Poly.word(word, rng.choice((-7, -1, 1, 2, 30, rng.choice(huge))))
         return p
 
     for _ in range(150):
         shared = [rand_poly() for _ in range(3)]
 
         def some_poly():
-            return rng.choice(shared) if rng.random() < 0.3 else rand_poly()
+            # an equal value in a distinct object is still one value to the writer
+            if rng.random() < 0.3:
+                p = rng.choice(shared)
+                return Poly(p.terms) if rng.random() < 0.5 else p
+            return rand_poly()
 
         node_kinds = [
             lambda: Intro(rng.randrange(3)),
@@ -167,6 +174,18 @@ def test_serialize_matches_the_one_poly_reference_encoder():
             root=rng.randrange(9),
         )
         assert serialize(cert) == reference_serialize(cert)
+
+    golden = pathlib.Path(__file__).parent / "golden"
+    for path in sorted(golden.glob("*.cert.json")):
+        data = path.read_bytes()
+        assert serialize(deserialize(data)) == data
+        assert reference_serialize(deserialize(data)) == data
+
+    rng = random.Random(1_730)
+    p, q = witgen.nil_pair(rng, ("x", "y"), 3)
+    product = serialize(certificate_from_dag(nil_product(p, q)))
+    assert serialize(deserialize(product)) == product
+    assert reference_serialize(deserialize(product)) == product
 
 
 def test_deserialize_rejects_bad_bytes():
@@ -266,6 +285,89 @@ def test_a_repeated_spelling_still_reserves_its_uid():
     obj["claim"] = [["1", ["x", f"z#{top}"]], ["1", [f"z#{top}"]], ["1", [f"z#{top - 1}"]]]
     deserialize(json.dumps(obj).encode())
     assert fresh_schematic("z").uid > top
+
+
+def every_site_cert() -> dict:
+    """A well-shaped certificate (not a valid derivation) with every
+    polynomial site.  Each site holds the same two terms, so past the
+    generators a bad value in the second term follows remembered ones."""
+    def poly():
+        return [["1", ["x"]], ["-2", ["x", "y"]]]
+
+    return {
+        "version": 1, "setting": "sqrt", "symbols": ["x", "y"],
+        "generators": [poly()], "families": [{"left": poly(), "right": poly()}],
+        "claim": poly(),
+        "nodes": [
+            {"id": 0, "op": "intro_family", "family": 0, "instance": poly()},
+            {"id": 1, "op": "mult", "left": poly(), "inner": 0, "right": poly()},
+            {"id": 2, "op": "red", "premise": 1, "conclusion": poly()},
+            {"id": 3, "op": "semiprime", "bound": "z#5", "premise": 2, "conclusion": poly()},
+        ],
+        "root": 3,
+    }
+
+
+# in reading order
+POLY_SITES = [
+    ("generators", 0), ("families", 0, "left"), ("families", 0, "right"), ("claim",),
+    ("nodes", 0, "instance"), ("nodes", 1, "left"), ("nodes", 1, "right"),
+    ("nodes", 2, "conclusion"), ("nodes", 3, "conclusion"),
+]
+NON_STRINGS = [[1], ["1"], {"a": 1}, {}, None, 1, 0, -2.5, True]
+
+
+def json_path(site) -> str:
+    return "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in site).lstrip(".")
+
+
+def at(obj, site):
+    for step in site:
+        obj = obj[step]
+    return obj
+
+
+def bad_value_cases():
+    """(certificate object, expected error): a non-string value put in as a
+    coefficient or a spelling of the second term at one site and at every
+    later one."""
+    placements = (
+        (lambda term, value: term.__setitem__(0, value),
+         "[1]: coefficient must be a decimal string"),
+        (lambda term, value: term.__setitem__(1, ["x", value]),
+         "[1][1][1]: expected a symbol string"),
+    )
+    for value in NON_STRINGS:
+        for i, site in enumerate(POLY_SITES):
+            for place, suffix in placements:
+                obj = every_site_cert()
+                for later in POLY_SITES[i:]:
+                    place(at(obj, later)[1], value)
+                yield obj, json_path(site) + suffix
+        obj = every_site_cert()
+        obj["nodes"][3]["bound"] = value
+        yield obj, "nodes[3].bound: expected a symbol string"
+    for site in POLY_SITES:  # the value that made a memo keyed on raw JSON raise
+        obj = every_site_cert()
+        at(obj, site[:-1])[site[-1]] = [[[1], ["x"]]]
+        yield obj, f"{json_path(site)}[0]: coefficient must be a decimal string"
+
+
+def test_non_string_values_at_every_polynomial_site_are_malformed(tmp_path):
+    deserialize(json.dumps(every_site_cert()).encode())  # the base case reads
+    path = tmp_path / "bad.json"
+    cases = list(bad_value_cases())
+    assert len(cases) == len(NON_STRINGS) * (2 * len(POLY_SITES) + 1) + len(POLY_SITES)
+    for obj, expected in cases:
+        data = json.dumps(obj).encode()
+        with pytest.raises(MalformedCertificateError) as info:
+            deserialize(data)
+        assert str(info.value) == expected
+        path.write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert nilcert.cli.main(["check", str(path)]) == 2
+        assert expected in err.getvalue()
 
 
 def test_deserialize_rejects_stray_node_keys():

@@ -149,6 +149,29 @@ def test_check_deeply_nested_json_is_malformed(tmp_path):
     assert "nested too deeply" in result.stderr
 
 
+def test_check_non_string_coefficient_is_malformed(tmp_path):
+    write_intro_cert(tmp_path / "ok.json", "nil", (x,))
+    obj = json.loads((tmp_path / "ok.json").read_bytes())
+    obj["claim"] = [[[1], ["x"]]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    result = run("check", str(bad))
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert "claim[0]: coefficient must be a decimal string" in result.stderr
+
+
+def test_golden_checker_runs_from_a_checkout_without_pythonpath():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    result = subprocess.run(
+        [sys.executable, os.path.join("tests", "golden", "regen.py"), "--check"],
+        capture_output=True, text=True, cwd=root, env=env,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.count("unchanged") == 3
+
+
 def test_golden_files_regenerate_in_a_fresh_interpreter(tmp_path):
     # intersect_sqrt's schematic uids depend on the process's history, so
     # only a fresh interpreter reproduces the stored bytes

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import pathlib
 import pickle
 import random
@@ -325,3 +326,62 @@ def test_symbol_name_validation():
     for bad in ("", "3x", "a-b", "a#b", "a b"):
         with pytest.raises(ValueError):
             base_symbol(bad)
+
+
+def test_symbols_are_interned():
+    assert Symbol("x") is base_symbol("x")
+    assert Symbol.decode("z#0") is Symbol("z", SCHEMATIC, 0)
+    for sym in (base_symbol("x"), fresh_schematic("z")):
+        assert Symbol.decode(sym.encode()) is sym
+        assert pickle.loads(pickle.dumps(sym)) is sym
+        assert copy.copy(sym) is sym
+        assert copy.deepcopy(sym) is sym
+        pair = copy.deepcopy((sym, [sym]))
+        assert pair[0] is sym and pair[1][0] is sym
+
+
+def test_invalid_symbols_raise_and_are_not_interned():
+    cases = [("3x", "base", 0), ("", "base", 0), ("a#b", "base", 0),
+             ("z", "other", 0), ("z", SCHEMATIC, -1)]
+    for name, kind, uid in cases:
+        for _ in range(2):  # a failed first creation leaves nothing behind
+            with pytest.raises(ValueError):
+                Symbol(name, kind, uid)
+        assert (kind, name, uid) not in ring._interned
+
+
+def test_concurrent_interning_gives_one_object_per_spelling():
+    spellings = [(f"race{k}", SCHEMATIC, 987_000 + k) for k in range(3000)]
+    got: list[list[Symbol]] = [[] for _ in range(8)]
+    errors: list[BaseException] = []
+    start = threading.Barrier(len(got), timeout=10)
+    deadline = time.monotonic() + 5.0
+
+    def work(out: list[Symbol]) -> None:
+        try:
+            start.wait()
+            for spelling in spellings:
+                if time.monotonic() > deadline:
+                    break
+                out.append(Symbol(*spelling))
+        except Exception as err:  # reported by the main thread
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(out,)) for out in got]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors[0]
+    done = min(len(out) for out in got)
+    assert done > 0
+    for k in range(done):
+        first = got[0][k]
+        assert all(out[k] is first for out in got)
+        assert Symbol(*spellings[k]) is first
