@@ -18,6 +18,9 @@ job, so reference targets, cycles, and side conditions all pass through
 untouched.  Symbols are interned (one object per spelling), and the
 reader builds ring words straight from the codes of the spellings it
 has already validated in the same certificate.
+
+The reader and the other structural code take a node's fields from
+``witness.FIELDS``; only the writer spells each op out, keys sorted.
 """
 
 from __future__ import annotations
@@ -27,11 +30,15 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from nilcert.checker import check_certificate
-from nilcert.ring import Poly, Symbol, _code, _wrap, reserve_uids, symbols_of, term_sorter
+from nilcert.ring import _NUMERAL, Poly, Symbol, _wrap, reserve_uids, symbols_of, term_sorter
 from nilcert.witness import (
-    Add,
-    BudgetExceededError,
     DEFAULT_MAX_NODES,
+    FIELDS,
+    POLY,
+    REF,
+    SYMBOL,
+    Add,
+    DagBuilder,
     GeneratorSet,
     Intro,
     IntroFamily,
@@ -42,6 +49,8 @@ from nilcert.witness import (
     WitnessDag,
     WitnessError,
     Zero,
+    field_getters,
+    map_fields,
 )
 
 __all__ = [
@@ -151,17 +160,13 @@ def serialize(cert: Certificate) -> bytes:
 # -- reading ----------------------------------------------------------
 
 
-_NODE_KEYS = {
-    op: frozenset(("id", "op", *fields))
-    for op, fields in (
-        ("intro", ("gen",)),
-        ("intro_family", ("family", "instance")),
-        ("zero", ()),
-        ("add", ("left", "right")),
-        ("mult", ("left", "inner", "right")),
-        ("red", ("premise", "conclusion")),
-        ("semiprime", ("bound", "premise", "conclusion")),
-    )
+_KEYS = {"gen_index": "gen", "family_index": "family"}  # other fields keep their names
+# op -> (kind, allowed keys, ((key, role), ...) in constructor order)
+_NODE_FORMS = {
+    op: (kind, frozenset(("id", "op", *(_KEYS.get(name, name) for name, _ in FIELDS[kind]))),
+         tuple((_KEYS.get(name, name), role) for name, role in FIELDS[kind]))
+    for op, kind in (("intro", Intro), ("intro_family", IntroFamily), ("zero", Zero),
+                     ("add", Add), ("mult", Mult), ("red", Red), ("semiprime", Semiprime))
 }
 
 
@@ -208,20 +213,15 @@ class _Reader:
                 self.max_uid = max(self.max_uid, sym.uid)
             elif sym.name not in declared:
                 raise self.fail(f"symbol {sym.name!r} not declared", where)
-            code = self.codes[value] = _code(sym)
+            code = self.codes[value] = sym.code
         return code
-
-    def symbol(self, value: Any, declared: frozenset, where: str) -> Symbol:
-        self.code(value, declared, where)
-        return Symbol.decode(value)
 
     def coeff(self, value: Any, where: str) -> int:
         if not isinstance(value, str):
             raise self.fail("coefficient must be a decimal string", where)
         coeff = self.coeffs.get(value)
         if coeff is None:
-            digits = value[1:] if value.startswith("-") else value
-            if not digits.isdigit() or (len(digits) > 1 and digits[0] == "0"):
+            if not _NUMERAL.match(value.removeprefix("-")):
                 raise self.fail(f"bad coefficient {value!r}", where)
             try:
                 coeff = int(value)
@@ -232,30 +232,34 @@ class _Reader:
             self.coeffs[value] = coeff
         return coeff
 
-    def poly(self, value: Any, declared: frozenset, where: str) -> Poly:
-        if not isinstance(value, list):
-            raise self.fail("expected a polynomial term list", where)
+    def known_poly(self, value: Any) -> Poly | None:
+        """The polynomial, if every piece of it is remembered, else None."""
+        if type(value) is not list:
+            return None
         codes, coeffs = self.codes.__getitem__, self.coeffs.get
         terms: dict[str, int] = {}
         for item in value:
             if type(item) is not list or len(item) != 2:
-                break
+                return None
             coeff_raw, word_raw = item
             if type(coeff_raw) is not str or type(word_raw) is not list:
-                break
+                return None
             coeff = coeffs(coeff_raw)
             try:
                 word = "".join(map(codes, word_raw))
             except (KeyError, TypeError):  # a spelling not yet passed, or not a str
-                break
+                return None
             if coeff is None or word in terms:
-                break
+                return None
             terms[word] = coeff
-        else:
-            return _wrap(terms)
-        return self.checked_poly(value, declared, where)
+        return _wrap(terms)
 
-    def checked_poly(self, value: list, declared: frozenset, where: str) -> Poly:
+    def poly(self, value: Any, declared: frozenset, where: str) -> Poly:
+        poly = self.known_poly(value)
+        if poly is not None:
+            return poly
+        if not isinstance(value, list):
+            raise self.fail("expected a polynomial term list", where)
         terms: dict[str, int] = {}
         for i, item in enumerate(value):
             here = f"{where}[{i}]"
@@ -273,47 +277,38 @@ class _Reader:
         return _wrap(terms)
 
     def node(self, value: Any, index: int, declared: frozenset) -> Node:
-        where = f"nodes[{index}]"
+        # JSON paths are spelled only where a value fails or is seen first
         if not isinstance(value, dict):
-            raise self.fail("expected a node object", where)
-        if self.intval(self.get(value, "id", where), f"{where}.id") != index:
+            raise self.fail("expected a node object", f"nodes[{index}]")
+        ident = value.get("id")
+        if type(ident) is not int or ident != index:
+            where = f"nodes[{index}]"
+            self.intval(self.get(value, "id", where), f"{where}.id")
             raise self.fail(f"node id must be {index} (dense ids)", f"{where}.id")
-        op = self.get(value, "op", where)
-        if not isinstance(op, str) or op not in _NODE_KEYS:
-            raise self.fail(f"unknown op {op!r}", f"{where}.op")
-        extra = value.keys() - _NODE_KEYS[op]
-        if extra:
-            raise self.fail(f"unexpected keys {sorted(extra)!r}", where)
-        if op == "intro":
-            return Intro(self.intval(self.get(value, "gen", where), f"{where}.gen"))
-        if op == "intro_family":
-            return IntroFamily(
-                self.intval(self.get(value, "family", where), f"{where}.family"),
-                self.poly(self.get(value, "instance", where), declared, f"{where}.instance"),
-            )
-        if op == "zero":
-            return Zero()
-        if op == "add":
-            return Add(
-                self.intval(self.get(value, "left", where), f"{where}.left"),
-                self.intval(self.get(value, "right", where), f"{where}.right"),
-            )
-        if op == "mult":
-            return Mult(
-                self.poly(self.get(value, "left", where), declared, f"{where}.left"),
-                self.intval(self.get(value, "inner", where), f"{where}.inner"),
-                self.poly(self.get(value, "right", where), declared, f"{where}.right"),
-            )
-        if op == "red":
-            return Red(
-                self.intval(self.get(value, "premise", where), f"{where}.premise"),
-                self.poly(self.get(value, "conclusion", where), declared, f"{where}.conclusion"),
-            )
-        return Semiprime(
-            self.symbol(self.get(value, "bound", where), declared, f"{where}.bound"),
-            self.intval(self.get(value, "premise", where), f"{where}.premise"),
-            self.poly(self.get(value, "conclusion", where), declared, f"{where}.conclusion"),
-        )
+        op = value.get("op")
+        form = _NODE_FORMS.get(op) if type(op) is str else None
+        if form is None:
+            self.get(value, "op", f"nodes[{index}]")
+            raise self.fail(f"unknown op {op!r}", f"nodes[{index}].op")
+        kind, keys, fields = form
+        if not keys.issuperset(value):
+            raise self.fail(f"unexpected keys {sorted(value.keys() - keys)!r}", f"nodes[{index}]")
+        args = []
+        for key, role in fields:
+            if key not in value:
+                raise self.fail(f"missing key {key!r}", f"nodes[{index}]")
+            raw = value[key]
+            if role == POLY:
+                poly = self.known_poly(raw)
+                raw = self.poly(raw, declared, f"nodes[{index}].{key}") if poly is None else poly
+            elif role == SYMBOL:
+                if type(raw) is not str or raw not in self.codes:
+                    self.code(raw, declared, f"nodes[{index}].{key}")
+                raw = Symbol.decode(raw)
+            elif type(raw) is not int:
+                raise self.fail("expected an integer", f"nodes[{index}].{key}")
+            args.append(raw)
+        return kind(*args)
 
 
 def deserialize(data: bytes) -> Certificate:
@@ -447,18 +442,15 @@ def certificate_from_dag(
     )
 
 
-def _polys(generators: GeneratorSet, claim: Poly, nodes: tuple[Node, ...]):
+_POLYS = field_getters(POLY)
+
+
+def _polys(generators: GeneratorSet, claim: Poly, nodes: tuple[Node, ...]) -> list[Poly]:
     """Every polynomial of a certificate or DAG, shared ones repeated."""
-    yield from generators.all_polys()
-    yield claim
+    polys = [*generators.all_polys(), claim]
     for node in nodes:
-        if isinstance(node, IntroFamily):
-            yield node.instance
-        elif isinstance(node, Mult):
-            yield node.left
-            yield node.right
-        elif isinstance(node, (Red, Semiprime)):
-            yield node.conclusion
+        polys += _POLYS[type(node)](node)
+    return polys
 
 
 def dag_from_certificate(
@@ -467,41 +459,25 @@ def dag_from_certificate(
     """Build a WitnessDag from certificate data the checker accepts.
 
     The checker runs once, and WitnessError carries its verdict when
-    the certificate is invalid.  Generators must also be concrete, as
-    DagBuilder requires.  The DAG wraps the verdict's conclusions with
-    no ring operations: nodes are renumbered in the checker's order and
-    structurally equal nodes are shared, so ids may change, which
-    transforms never rely on.  BudgetExceededError is raised when the
-    shared DAG has more than ``max_nodes`` nodes.
+    the certificate is invalid.  Nodes go into a DagBuilder in the
+    checker's order with the verdict's conclusions and no ring
+    operations; equal nodes are shared, so ids may change (transforms
+    never rely on them), and more than ``max_nodes`` raise
+    BudgetExceededError.
     """
     verdict = check_certificate(cert)
     if not verdict:
         raise WitnessError(str(verdict))
-    cert.generators.validate_concrete()
-    shared: dict[Node, int] = {}  # each distinct node -> its id, in id order
-    conclusions: list[Poly] = []
+    builder = DagBuilder(cert.setting, cert.generators, max_nodes)
+    shared, append, conclusions = builder._index.get, builder._append, verdict.conclusions
     mapping = [0] * len(cert.nodes)
+    renumber = {REF: mapping.__getitem__}
+    renamed = False  # until a node changes id, every reference keeps its own
     for ident in verdict.order:
-        node = cert.nodes[ident]
-        if isinstance(node, Add):
-            node = Add(mapping[node.left], mapping[node.right])
-        elif isinstance(node, Mult):
-            node = Mult(node.left, mapping[node.inner], node.right)
-        elif isinstance(node, Red):
-            node = Red(mapping[node.premise], node.conclusion)
-        elif isinstance(node, Semiprime):
-            node = Semiprime(node.bound, mapping[node.premise], node.conclusion)
-        new_id = shared.get(node)
+        node = map_fields(cert.nodes[ident], renumber) if renamed else cert.nodes[ident]
+        new_id = shared(node)
         if new_id is None:
-            if len(shared) >= max_nodes:
-                raise BudgetExceededError(f"node budget {max_nodes} exceeded")
-            new_id = shared[node] = len(shared)
-            conclusions.append(verdict.conclusions[ident])
+            new_id = append(node, conclusions[ident])
         mapping[ident] = new_id
-    return WitnessDag(
-        setting=cert.setting,
-        generators=cert.generators,
-        nodes=tuple(shared),
-        conclusions=tuple(conclusions),
-        root=mapping[cert.root],
-    )
+        renamed = renamed or new_id != ident
+    return builder.build(mapping[cert.root])

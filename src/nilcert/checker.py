@@ -1,8 +1,8 @@
 """The trusted kernel: re-verify a certificate from raw data.
 
 Everything here is deliberately independent of DagBuilder and the
-transform layer; the only shared code is ring arithmetic.  A
-certificate is accepted only if every constructor application is
+transform layer; it shares only ring arithmetic and the node field
+table (witness.FIELDS).  A certificate is accepted only if every node is
 re-verified from scratch, so transforms are free to be clever and
 wrong, because a bad output simply fails here.
 
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from nilcert.ring import Poly
-from nilcert.witness import Add, Intro, IntroFamily, Mult, Red, Semiprime, Zero
+from nilcert.witness import REF, Add, Intro, IntroFamily, Mult, Red, Semiprime, Zero, field_getters
 
 if TYPE_CHECKING:  # certio imports this module
     from nilcert.certio import Certificate
@@ -58,6 +58,8 @@ SEMIPRIME_CAPTURE = "SEMIPRIME_CAPTURE"
 WRONG_SETTING = "WRONG_SETTING"
 CLAIM_MISMATCH = "CLAIM_MISMATCH"
 GEN_INDEX = "GEN_INDEX"
+
+_CHILDREN = field_getters(REF)
 
 
 @dataclass(frozen=True)
@@ -139,7 +141,7 @@ def check_certificate(cert: Certificate) -> Verdict:
         return _invalid(None, BAD_REF, f"root {cert.root} out of range")
 
     # acyclicity, by counting resolved children (Kahn)
-    children = [_children(node) for node in nodes]
+    children = [_CHILDREN[type(node)](node) for node in nodes]
     pending = [len(refs) for refs in children]
     parents: list[list[int]] = [[] for _ in range(n)]
     for i, refs in enumerate(children):
@@ -196,13 +198,3 @@ def check_certificate(cert: Certificate) -> Verdict:
     if concl[cert.root] != cert.claim:
         return _invalid(cert.root, CLAIM_MISMATCH, "claim differs from root conclusion")
     return Verdict(True, order=tuple(order), conclusions=tuple(concl))
-
-
-def _children(node) -> tuple[int, ...]:
-    if isinstance(node, Add):
-        return (node.left, node.right)
-    if isinstance(node, Mult):
-        return (node.inner,)
-    if isinstance(node, (Red, Semiprime)):
-        return (node.premise,)
-    return ()

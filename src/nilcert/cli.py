@@ -157,10 +157,10 @@ def _cmd_permute(args, max_nodes: int) -> int:
     try:
         images = tuple(int(part) for part in args.sigma.split(","))
     except ValueError:
-        return _fail(2, f"--sigma must be a comma-separated list of integers: {args.sigma!r}")
+        raise ValueError(f"--sigma must be a comma-separated list of integers: {args.sigma!r}")
     sigma = Permutation(images)  # ValueError (exit 2) if not a bijection
     if sigma.n != len(factors):
-        return _fail(2, f"--sigma has {sigma.n} entries for {len(factors)} factors")
+        raise ValueError(f"--sigma has {sigma.n} entries for {len(factors)} factors")
     out_dag = permute(dag, factors, sigma, max_nodes)
     out_cert = certificate_from_dag(out_dag, symbols=cert.symbols)
     _write_cert(out_cert, args.out or "permuted.cert.json")
@@ -248,9 +248,7 @@ def main(argv=None) -> int:
             return _fail(2, f"NILCERT_MAX_NODES must be a positive integer, got {raw_budget!r}")
     try:
         return args.func(args, max_nodes)
-    except _InvalidInput as err:
-        return _fail(1, str(err))
-    except (WitnessError, TransformError) as err:
+    except (_InvalidInput, WitnessError, TransformError) as err:
         return _fail(1, str(err))
     except (OSError, ValueError) as err:
         return _fail(2, str(err))

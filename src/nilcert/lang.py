@@ -82,9 +82,9 @@ def _tokenize(src: str) -> list[_Token]:
             col += 1
             continue
         start_col = col
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # ASCII only; str.isdigit also takes other scripts' digits
             j = i
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and "0" <= src[j] <= "9":
                 j += 1
             tokens.append(_Token("int", src[i:j], line, start_col))
             col += j - i

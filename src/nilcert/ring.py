@@ -6,9 +6,10 @@ empty word is the unit.  Coefficients are arbitrary-precision integers
 and are central.  Every value here is immutable and safe to share
 between threads.
 
-Inside a Poly a word is a str with one code point per symbol, taken
-from one process-wide symbol table in first-seen order (so codes carry
-no sort order).  Public functions take and return tuples of Symbol.
+Inside a Poly a word is a str with one code point per symbol: each
+symbol's ``code``, handed out in interning order by one process-wide
+table (so codes carry no sort order).  Public functions take and
+return tuples of Symbol.
 """
 
 from __future__ import annotations
@@ -40,7 +41,11 @@ BASE = "base"
 SCHEMATIC = "schematic"
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_NUMERAL = re.compile(r"(?:0|[1-9][0-9]*)\Z")  # ASCII digits, no leading zero
 _interned: dict[tuple, "Symbol"] = {}
+_symbols: list["Symbol"] = []  # the symbol of each code, in code order
+_table_lock = threading.Lock()
+_CODE_LIMIT = sys.maxunicode + 1
 
 
 class Symbol:
@@ -51,10 +56,11 @@ class Symbol:
     quantified slot, a family middle, a bound variable).  A symbol is
     identified by its full spelling: a schematic one by ``name#uid``,
     so ``z#0`` and ``w#0`` are distinct indeterminates.  Symbols are
-    interned, one object per spelling, so ``==`` and ``hash`` are identity.
+    interned, one object per spelling, so ``==`` and ``hash`` are identity;
+    interning gives each its ``code``, its code point in ring words.
     """
 
-    __slots__ = ("name", "kind", "uid")
+    __slots__ = ("name", "kind", "uid", "code")
 
     def __new__(cls, name: str, kind: str = BASE, uid: int = 0) -> "Symbol":
         sym = _interned.get((kind, name, uid))
@@ -65,9 +71,15 @@ class Symbol:
                 raise ValueError(f"invalid symbol kind: {kind!r}")
             if uid < 0:
                 raise ValueError("symbol uid must be nonnegative")
-            sym = object.__new__(cls)
-            sym.name, sym.kind, sym.uid = name, kind, uid
-            sym = _interned.setdefault((kind, name, uid), sym)
+            with _table_lock:
+                sym = _interned.get((kind, name, uid))
+                if sym is None:
+                    if len(_symbols) >= _CODE_LIMIT:
+                        raise OverflowError(f"symbol table full at {_CODE_LIMIT} symbols")
+                    sym = object.__new__(cls)
+                    sym.name, sym.kind, sym.uid, sym.code = name, kind, uid, chr(len(_symbols))
+                    _symbols.append(sym)  # first, so every code a reader holds decodes
+                    _interned[kind, name, uid] = sym
         return sym
 
     def __reduce__(self) -> tuple:
@@ -88,7 +100,7 @@ class Symbol:
     def decode(cls, text: str) -> "Symbol":
         if "#" in text:
             name, _, uid = text.partition("#")
-            if not uid.isdigit():
+            if not _NUMERAL.match(uid):
                 raise ValueError(f"invalid schematic symbol: {text!r}")
             return cls(name, SCHEMATIC, int(uid))
         return cls(text)
@@ -126,27 +138,6 @@ def reserve_uids(floor: int) -> None:
 # A word is a tuple of symbols; the empty tuple is the unit 1.
 Word = tuple
 
-_symbols: list[Symbol] = []
-_codes: dict[Symbol, str] = {}
-_table_lock = threading.Lock()
-_CODE_LIMIT = sys.maxunicode + 1
-
-
-def _code(sym: Symbol) -> str:
-    code = _codes.get(sym)
-    if code is None:
-        with _table_lock:
-            code = _codes.get(sym)
-            if code is None:
-                if len(_symbols) >= _CODE_LIMIT:
-                    raise OverflowError(f"symbol table full at {_CODE_LIMIT} symbols")
-                code = chr(len(_symbols))
-                # published in this order, so every code a reader holds decodes
-                _symbols.append(sym)
-                _codes[sym] = code
-    return code
-
-
 def _decode(word: str) -> Word:
     return tuple([_symbols[ord(code)] for code in word])
 
@@ -162,7 +153,7 @@ class Poly:
         for word, coeff in items:
             if not isinstance(coeff, int):
                 raise TypeError("coefficients must be int")
-            word = "".join(map(_code, word))
+            word = "".join([sym.code for sym in word])
             coeff = acc.get(word, 0) + coeff
             if coeff:
                 acc[word] = coeff
@@ -187,7 +178,7 @@ class Poly:
 
     @classmethod
     def symbol(cls, sym: Symbol) -> "Poly":
-        return _wrap({_code(sym): 1})
+        return _wrap({sym.code: 1})
 
     @classmethod
     def word(cls, symbols: Iterable[Symbol], coeff: int = 1) -> "Poly":
@@ -210,8 +201,8 @@ class Poly:
         return symbols_of((self,))
 
     def mentions(self, sym: Symbol) -> bool:
-        code = _codes.get(sym)
-        return code is not None and any(code in word for word in self._terms)
+        code = sym.code
+        return any(code in word for word in self._terms)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -285,7 +276,7 @@ class Poly:
     def substitute(self, bindings: Mapping[Symbol, "Poly"]) -> "Poly":
         """Apply the ring homomorphism sending bound symbols to their
         images and fixing everything else."""
-        images = {_codes[s]: image for s, image in bindings.items() if self.mentions(s)}
+        images = {s.code: image for s, image in bindings.items() if self.mentions(s)}
         if not images:
             return self
         total = _ZERO
@@ -370,7 +361,7 @@ def term_sorter(polys: Iterable[Poly], order: Sequence[str] | None = None,
         return (0 if declared else 1, rank.get(sym.name, 0), sym.name, sym.uid)
 
     # recode the symbols present by rank, so words compare as plain strs
-    present = [(_codes[sym], sym) for sym in sorted(symbols_of(polys), key=sym_key)]
+    present = [(sym.code, sym) for sym in sorted(symbols_of(polys), key=sym_key)]
     recode = {ord(code): chr(i) for i, (code, _) in enumerate(present)}
     spelled = {code: spell(sym) for code, sym in present}.__getitem__
 

@@ -19,12 +19,16 @@ determine them (s and -s share a square).  DagBuilder verifies each
 side condition at insertion time, so a complete WitnessDag is valid by
 construction; the separate checker module re-verifies serialized
 certificates from scratch without trusting any of this.
+
+FIELDS is where node structure lives: each kind's fields in constructor
+order, with roles.  Structural code reads it; code giving meaning names kinds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from operator import attrgetter
+from typing import Callable, Iterable, Mapping, Union
 
 from nilcert.ring import Poly, Symbol, fresh_schematic
 
@@ -42,6 +46,7 @@ __all__ = [
     "Red",
     "Semiprime",
     "Node",
+    "FIELDS",
     "GeneratorSet",
     "WitnessDag",
     "DagBuilder",
@@ -107,6 +112,38 @@ class Semiprime:
 
 Node = Union[Intro, IntroFamily, Zero, Add, Mult, Red, Semiprime]
 
+# field roles: a node id, a generator or family index, ring data
+REF, INDEX, POLY, SYMBOL = "ref", "index", "poly", "symbol"
+FIELDS: dict[type, tuple[tuple[str, str], ...]] = {
+    Intro: (("gen_index", INDEX),),
+    IntroFamily: (("family_index", INDEX), ("instance", POLY)),
+    Zero: (),
+    Add: (("left", REF), ("right", REF)),
+    Mult: (("left", POLY), ("inner", REF), ("right", POLY)),
+    Red: (("premise", REF), ("conclusion", POLY)),
+    Semiprime: (("bound", SYMBOL), ("premise", REF), ("conclusion", POLY)),
+}
+
+
+def field_getters(role: str) -> dict[type, Callable[[Node], tuple]]:
+    """For each kind, a function giving its ``role`` fields as a tuple."""
+    getters = {}
+    for kind, fields in FIELDS.items():
+        names = [name for name, field_role in fields if field_role == role]
+        if len(names) == 1:
+            getters[kind] = lambda node, get=attrgetter(*names): (get(node),)
+        else:  # attrgetter gives a tuple for two or more names
+            getters[kind] = attrgetter(*names) if names else lambda node: ()
+    return getters
+
+
+def map_fields(node: Node, fns: Mapping[str, Callable]) -> Node:
+    """``node`` rebuilt with ``fns[role]`` applied to each field of that role."""
+    return type(node)(*[
+        fns[role](getattr(node, name)) if role in fns else getattr(node, name)
+        for name, role in FIELDS[type(node)]
+    ])
+
 
 class GeneratorSet:
     """The generating data of an ideal: finitely many elements plus,
@@ -157,8 +194,8 @@ class WitnessDag:
     """An immutable, valid-by-construction derivation.
 
     DagBuilder creates these, checking every invariant (reference
-    order, side conditions, cached conclusions) during building;
-    dag_from_certificate creates one from a verdict the checker accepted.
+    order, side conditions, cached conclusions) during building, or
+    taking them from a verdict the checker accepted (dag_from_certificate).
     """
 
     setting: str
@@ -181,6 +218,12 @@ def conclusion_of(dag: WitnessDag, node_id: int) -> Poly:
     return dag.conclusions[node_id]
 
 
+def _adder(kind: type) -> Callable[..., int]:
+    def add(builder: "DagBuilder", *fields) -> int:
+        return builder.add_node(kind(*fields))
+    return add
+
+
 class DagBuilder:
     """Arena for growing a witness one verified node at a time.
 
@@ -199,9 +242,9 @@ class DagBuilder:
             raise WitnessError(f"unknown setting {setting!r}")
         if setting == NIL and generators.families:
             raise WitnessError("families require the sqrt setting")
-        if max_nodes < 1:
-            raise WitnessError("max_nodes must be positive")
         generators.validate_concrete()
+        if max_nodes < 1:
+            raise BudgetExceededError("max_nodes must be positive")
         self.setting = setting
         self.generators = generators
         self.max_nodes = max_nodes
@@ -213,13 +256,8 @@ class DagBuilder:
     def from_dag(cls, dag: WitnessDag, max_nodes: int = DEFAULT_MAX_NODES) -> "DagBuilder":
         """Resume building on top of an existing (trusted) witness."""
         builder = cls(dag.setting, dag.generators, max_nodes)
-        builder._nodes = list(dag.nodes)
-        builder._conclusions = list(dag.conclusions)
-        builder._index = {node: i for i, node in enumerate(dag.nodes)}
-        if len(builder._nodes) > max_nodes:
-            raise BudgetExceededError(
-                f"witness already has {len(builder._nodes)} nodes, budget {max_nodes}"
-            )
+        for node, conclusion in zip(dag.nodes, dag.conclusions):
+            builder._append(node, conclusion)
         return builder
 
     def __len__(self) -> int:
@@ -235,15 +273,15 @@ class DagBuilder:
 
     def add_node(self, node: Node) -> int:
         existing = self._index.get(node)
-        if existing is not None:
-            return existing
-        conclusion = self._admit(node)
+        return existing if existing is not None else self._append(node, self._admit(node))
+
+    def _append(self, node: Node, conclusion: Poly) -> int:
+        # the one way in for a node not yet present, with its verified conclusion
         if len(self._nodes) >= self.max_nodes:
             raise BudgetExceededError(f"node budget {self.max_nodes} exceeded")
-        node_id = len(self._nodes)
+        node_id = self._index[node] = len(self._nodes)
         self._nodes.append(node)
         self._conclusions.append(conclusion)
-        self._index[node] = node_id
         return node_id
 
     def _admit(self, node: Node) -> Poly:
@@ -292,28 +330,14 @@ class DagBuilder:
             return c
         raise WitnessError(f"unknown node kind {type(node).__name__}")
 
-    # Convenience wrappers; transforms read much better with these.
-
-    def intro(self, gen_index: int) -> int:
-        return self.add_node(Intro(gen_index))
-
-    def intro_family(self, family_index: int, instance: Poly) -> int:
-        return self.add_node(IntroFamily(family_index, instance))
-
-    def zero(self) -> int:
-        return self.add_node(Zero())
-
-    def add(self, left: int, right: int) -> int:
-        return self.add_node(Add(left, right))
-
-    def mult(self, left: Poly, inner: int, right: Poly) -> int:
-        return self.add_node(Mult(left, inner, right))
-
-    def red(self, premise: int, conclusion: Poly) -> int:
-        return self.add_node(Red(premise, conclusion))
-
-    def semiprime(self, bound: Symbol, premise: int, conclusion: Poly) -> int:
-        return self.add_node(Semiprime(bound, premise, conclusion))
+    # Convenience wrappers taking a kind's fields; transforms read better with these.
+    intro = _adder(Intro)
+    intro_family = _adder(IntroFamily)
+    zero = _adder(Zero)
+    add = _adder(Add)
+    mult = _adder(Mult)
+    red = _adder(Red)
+    semiprime = _adder(Semiprime)
 
     def build(self, root: int) -> WitnessDag:
         self._ref(root)
@@ -359,21 +383,7 @@ def _subst_node(
     if hit is not None:
         return hit
     node = dag.nodes[node_id]
-    if isinstance(node, (Intro, Zero)):
-        out = builder.add_node(node)
-    elif isinstance(node, IntroFamily):
-        out = builder.intro_family(node.family_index, node.instance.substitute(env))
-    elif isinstance(node, Add):
-        left = _subst_node(dag, node.left, env, builder, memo)
-        right = _subst_node(dag, node.right, env, builder, memo)
-        out = builder.add(left, right)
-    elif isinstance(node, Mult):
-        inner = _subst_node(dag, node.inner, env, builder, memo)
-        out = builder.mult(node.left.substitute(env), inner, node.right.substitute(env))
-    elif isinstance(node, Red):
-        premise = _subst_node(dag, node.premise, env, builder, memo)
-        out = builder.red(premise, node.conclusion.substitute(env))
-    elif isinstance(node, Semiprime):
+    if isinstance(node, Semiprime):
         bound = node.bound
         inner_env = env
         shadowed = bound in env
@@ -385,6 +395,9 @@ def _subst_node(
         premise = _subst_node(dag, node.premise, inner_env, builder, memo)
         out = builder.semiprime(bound, premise, node.conclusion.substitute(inner_env))
     else:
-        raise WitnessError(f"unknown node kind {type(node).__name__}")
+        out = builder.add_node(map_fields(node, {
+            REF: lambda ref: _subst_node(dag, ref, env, builder, memo),
+            POLY: lambda poly: poly.substitute(env),
+        }))
     memo[key] = out
     return out

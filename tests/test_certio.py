@@ -9,6 +9,7 @@ import json
 import pathlib
 import random
 import sys
+import typing
 
 import pytest
 
@@ -35,7 +36,7 @@ from nilcert import (
     serialize,
 )
 from nilcert.ring import SCHEMATIC, Symbol, sorted_terms
-from nilcert.witness import Add, Intro, IntroFamily, Mult, Red, Semiprime, Zero
+from nilcert.witness import Add, Intro, IntroFamily, Mult, Node, Red, Semiprime, Zero
 
 x = Poly.symbol(base_symbol("x"))
 y = Poly.symbol(base_symbol("y"))
@@ -530,3 +531,112 @@ def test_dag_from_certificate_matches_a_readmitted_reference(tmp_path):
     assert code == 1
     assert "schematic symbol" in err.getvalue()
     assert not (tmp_path / "out.json").exists()
+
+
+# -- the node table ---------------------------------------------------------
+
+# each op's wire keys in reading order, with the message a null value there gets
+NODE_WIRE = {
+    "intro": {"gen": "expected an integer"},
+    "intro_family": {"family": "expected an integer",
+                     "instance": "expected a polynomial term list"},
+    "zero": {},
+    "add": {"left": "expected an integer", "right": "expected an integer"},
+    "mult": {"left": "expected a polynomial term list", "inner": "expected an integer",
+             "right": "expected a polynomial term list"},
+    "red": {"premise": "expected an integer",
+            "conclusion": "expected a polynomial term list"},
+    "semiprime": {"bound": "expected a symbol string", "premise": "expected an integer",
+                  "conclusion": "expected a polynomial term list"},
+}
+GOOD_VALUE = {
+    "expected an integer": 0,
+    "expected a polynomial term list": [["1", ["x"]]],
+    "expected a symbol string": "z#3",
+}
+
+
+def node_cert(node: dict) -> bytes:
+    return json.dumps({
+        "version": 1, "setting": "sqrt", "symbols": ["x"], "generators": [],
+        "families": [], "claim": [], "nodes": [{"id": 0, "op": "zero"}, node], "root": 0,
+    }).encode()
+
+
+def read_error(data: bytes) -> str:
+    with pytest.raises(MalformedCertificateError) as info:
+        deserialize(data)
+    return str(info.value)
+
+
+def test_every_node_key_is_blamed_at_its_own_path():
+    for op, wire in NODE_WIRE.items():
+        good = {"id": 1, "op": op, **{key: GOOD_VALUE[msg] for key, msg in wire.items()}}
+        deserialize(node_cert(good))
+        for key in ("id", "op", *wire):
+            rest = {k: v for k, v in good.items() if k != key}
+            assert read_error(node_cert(rest)) == f"nodes[1]: missing key {key!r}"
+        nulls = {"id": "expected an integer", "op": "unknown op None", **wire}
+        for key, message in nulls.items():
+            assert read_error(node_cert({**good, key: None})) == f"nodes[1].{key}: {message}"
+            if message == "expected an integer":
+                assert read_error(node_cert({**good, key: True})) == f"nodes[1].{key}: {message}"
+        if wire:  # fields are read in constructor order
+            first, message = next(iter(wire.items()))
+            all_null = {**good, **dict.fromkeys(wire)}
+            assert read_error(node_cert(all_null)) == f"nodes[1].{first}: {message}"
+        assert read_error(node_cert({**good, "zz": 1})) == "nodes[1]: unexpected keys ['zz']"
+
+
+def test_one_node_of_each_kind_round_trips():
+    z = fresh_schematic("z")
+    nodes = (Intro(0), IntroFamily(0, x - y), Zero(), Add(0, 2), Mult(x, 3, y * y),
+             Red(4, x * y), Semiprime(z, 5, 2 * y))
+    assert {type(node) for node in nodes} == set(typing.get_args(Node))
+    cert = Certificate("sqrt", ("x", "y"), GeneratorSet((x,), [(x, y)]), x, nodes, 6)
+    data = serialize(cert)
+    assert [node["op"] for node in json.loads(data)["nodes"]] == list(NODE_WIRE)
+    back = deserialize(data)
+    assert back.nodes == nodes
+    assert serialize(back) == data
+
+
+# -- numerals ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spelling", ["z#01", "z#00", "z#١٢", "z#²", "z#0١"])
+def test_only_canonical_ascii_uids_are_read(spelling, tmp_path):
+    obj = every_site_cert()
+    obj["generators"][0][1][1] = ["x", spelling]
+    obj["claim"][1][1] = ["x", spelling]
+    obj["nodes"][3]["bound"] = spelling
+    expected = f"generators[0][1][1][1]: invalid schematic symbol: {spelling!r}"
+    cases = [(obj, expected)]
+    obj = every_site_cert()
+    obj["nodes"][3]["bound"] = spelling
+    cases.append((obj, f"nodes[3].bound: invalid schematic symbol: {spelling!r}"))
+    for obj, expected in cases:
+        assert_malformed(obj, expected, tmp_path)
+    for good in ("z#0", "z#10"):
+        obj = every_site_cert()
+        obj["nodes"][3]["bound"] = good
+        assert deserialize(json.dumps(obj).encode()).nodes[3].bound.encode() == good
+
+
+@pytest.mark.parametrize("coeff", ["١٢", "²", "-١", "1٢"])
+def test_only_ascii_coefficients_are_read(coeff, tmp_path):
+    obj = every_site_cert()
+    obj["nodes"][1]["left"][1][0] = coeff
+    obj["nodes"][2]["conclusion"][0][0] = coeff
+    assert_malformed(obj, f"nodes[1].left[1]: bad coefficient {coeff!r}", tmp_path)
+
+
+def assert_malformed(obj: dict, expected: str, tmp_path) -> None:
+    data = json.dumps(obj).encode()
+    assert read_error(data) == expected
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert nilcert.cli.main(["check", str(path)]) == 2
+    assert err.getvalue() == f"nilcert: {expected}\n"

@@ -160,3 +160,16 @@ def test_problem_errors_carry_line(src, fragment, line):
         parse_problem(src)
     assert fragment in str(info.value)
     assert info.value.line == line
+
+
+@pytest.mark.parametrize(
+    "src, col",
+    [("x^²", 3), ("x^١", 3), ("١٢*x", 1), ("2٣", 2)],
+)
+def test_only_ascii_digits_are_numerals(src, col):
+    with pytest.raises(ParseError) as info:
+        parse_poly(src, XY)
+    assert (info.value.line, info.value.col) == (1, col)
+    with pytest.raises(ProblemError) as info:
+        parse_problem(f"setting: nil\nsymbols: x; y\nclaim: {src}\n")
+    assert info.value.line == 3

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
+import typing
 
 import pytest
 
@@ -20,6 +22,7 @@ from nilcert import (
     fresh_schematic,
     substitute_schematic,
 )
+from nilcert.witness import FIELDS, INDEX, POLY, REF, SYMBOL, Node
 
 x = Poly.symbol(base_symbol("x"))
 y = Poly.symbol(base_symbol("y"))
@@ -229,3 +232,14 @@ def test_substitution_renames_bound_on_capture():
     out2 = substitute_schematic(dag, z, y)
     assert out2.conclusion == dag.conclusion
     assert out2.nodes[out2.root].bound != z
+
+
+# -- the field table -------------------------------------------------------
+
+
+def test_fields_names_every_constructor_field_in_order():
+    kinds = typing.get_args(Node)
+    assert set(FIELDS) == set(kinds)
+    for kind in kinds:
+        assert [name for name, _ in FIELDS[kind]] == [f.name for f in dataclasses.fields(kind)]
+        assert {role for _, role in FIELDS[kind]} <= {REF, INDEX, POLY, SYMBOL}
