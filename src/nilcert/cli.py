@@ -23,7 +23,7 @@ from nilcert.certio import (
 from nilcert.checker import check_certificate
 from nilcert.commutativity import xn_demo
 from nilcert.lang import parse_poly, parse_problem
-from nilcert.ring import Poly, fresh_schematic
+from nilcert.ring import _NUMERAL, Poly, fresh_schematic
 from nilcert.transforms import (
     Permutation,
     TransformError,
@@ -41,6 +41,15 @@ __all__ = ["main"]
 def _fail(code: int, message: str) -> int:
     print(f"nilcert: {message}", file=sys.stderr)
     return code
+
+
+def _numeral(text: str) -> int:
+    """An ASCII decimal numeral, as certificates spell numbers; int()
+    would also take other scripts' digits and underscores."""
+    text = text.strip()
+    if not _NUMERAL.match(text):
+        raise ValueError(f"not a numeral: {text!r}")
+    return int(text)
 
 
 def _load(path: str, max_nodes: int) -> Certificate:
@@ -155,7 +164,7 @@ def _cmd_permute(args, max_nodes: int) -> int:
     factor_srcs = [s.strip() for s in args.factors.split(";") if s.strip()]
     factors = [parse_poly(src, cert.symbols) for src in factor_srcs]
     try:
-        images = tuple(int(part) for part in args.sigma.split(","))
+        images = tuple(_numeral(part) for part in args.sigma.split(","))
     except ValueError:
         raise ValueError(f"--sigma must be a comma-separated list of integers: {args.sigma!r}")
     sigma = Permutation(images)  # ValueError (exit 2) if not a bijection
@@ -241,7 +250,7 @@ def main(argv=None) -> int:
         max_nodes = DEFAULT_MAX_NODES
     else:
         try:
-            max_nodes = int(raw_budget)
+            max_nodes = _numeral(raw_budget)
         except ValueError:
             max_nodes = 0
         if max_nodes < 1:

@@ -11,13 +11,15 @@ witness of u*v:
     rotate:  v*(u*v)*u = (v*u)^2,        so v*u  is in the ideal
     insert:  (u*r)*(v*u)*(r*v) = (u*r*v)^2,  so u*r*v is in the ideal
 
+Permutations reduce to a power-of-two trick over rotate and insert.
 Products and intersections follow the structural recursions described
-on each function; permutations reduce to a power-of-two trick over
-rotate and insert.
+on each function; a product's Red node takes a rotate and a one-sided
+multiple, no insert, so no step squares more than the rotated word.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -107,14 +109,12 @@ def _rotate_at(builder: DagBuilder, node_id: int, u: Poly, v: Poly) -> int:
         raise FactorizationMismatchError(
             f"witness concludes {builder.conclusion(node_id)}, not ({u})*({v})"
         )
-    squared = builder.mult(v, node_id, u)
-    return builder.red(squared, v * u)
+    return builder.red(builder.mult(v, node_id, u), v * u)
 
 
 def _insert_at(builder: DagBuilder, node_id: int, u: Poly, v: Poly, r: Poly) -> int:
     rotated = _rotate_at(builder, node_id, u, v)
-    squared = builder.mult(u * r, rotated, r * v)
-    return builder.red(squared, u * r * v)
+    return builder.red(builder.mult(u * r, rotated, r * v), u * r * v)
 
 
 def rotate(
@@ -152,10 +152,7 @@ def permute(
     n = len(factors)
     if sigma.n != n:
         raise TransformError(f"permutation of size {sigma.n} applied to {n} factors")
-    product = _ONE
-    for f in factors:
-        product = product * f
-    if product != w.conclusion:
+    if math.prod(factors, start=_ONE) != w.conclusion:
         raise FactorizationMismatchError("factors do not multiply to the conclusion")
     if sigma.is_identity:
         return w
@@ -204,9 +201,7 @@ def permute(
     if prefix != _ONE or suffix != _ONE:
         current = builder.mult(prefix, current, suffix)
 
-    target = _ONE
-    for i in seq:
-        target = target * factors[i - 1]
+    target = math.prod((factors[i - 1] for i in seq), start=_ONE)
     power = m
     while power > 1:
         power //= 2
@@ -239,6 +234,13 @@ def nil_product(
     constructor application over the recursive result.  Shared subtrees
     are translated once (memoised on the node-id pair), which keeps the
     output linear in the inputs.
+
+    A Red node for c (premise c*c) takes a rotation and a one-sided
+    multiple, no insert: c*c*y rotates to c*y*c, then (c*y*c)*y =
+    (c*y)^2 halves to c*y; on q's side a*c*c rotates to c*a*c, then
+    a*(c*a*c) = (a*c)^2 halves to a*c.  No step squares more than the
+    rotated word, so the largest conclusion is (c*y*c)^2; splicing y
+    in with an insert would square the doubled word c*y*c*y.
     """
     if p.setting != NIL or q.setting != NIL:
         raise SettingMismatchError("nil_product needs two nil witnesses")
@@ -269,8 +271,8 @@ def nil_product(
         elif isinstance(node, Red):
             c = node.conclusion
             inner = prod(node.premise, qi)  # concludes c*c*y
-            squared = _insert_at(out, inner, c, c * y, y)
-            out_id = out.red(squared, c * y)
+            rotated = _rotate_at(out, inner, c, c * y)  # c*y*c
+            out_id = out.red(out.mult(_ONE, rotated, y), c * y)
         else:
             raise TransformError(f"unexpected node in nil witness: {node!r}")
         memo[key] = out_id
@@ -288,15 +290,13 @@ def nil_product(
             return out.add(prod(pi, node.left), prod(pi, node.right))
         if isinstance(node, Mult):
             inner = prod(pi, node.inner)
-            spliced = _insert_at(
-                out, inner, a, q.conclusions[node.inner], node.left
-            )
+            spliced = _insert_at(out, inner, a, q.conclusions[node.inner], node.left)
             return out.mult(_ONE, spliced, node.right)
         if isinstance(node, Red):
             c = node.conclusion
             inner = prod(pi, node.premise)  # concludes a*c*c
-            squared = _insert_at(out, inner, a * c, c, a)
-            return out.red(squared, a * c)
+            rotated = _rotate_at(out, inner, a * c, c)  # c*a*c
+            return out.red(out.mult(a, rotated, _ONE), a * c)
         raise TransformError(f"unexpected node in nil witness: {node!r}")
 
     return out.build(prod(p.root, q.root))

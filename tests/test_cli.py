@@ -380,6 +380,22 @@ def test_permute_argument_validation(tmp_path):
     assert undeclared.returncode == 2
 
 
+def test_permute_sigma_takes_ascii_digits_only(tmp_path, monkeypatch):
+    monkeypatch.delenv("NILCERT_MAX_NODES", raising=False)
+    path = str(make_three_factor_cert(tmp_path))
+    out = tmp_path / "out.json"
+    for bad in ("\u0663,\u0661,\u0662", "3,1,2_0", "3,+1,2"):
+        code, _, err = main_in_process(
+            ["permute", path, "--factors", "x; y; z", "--sigma", bad, "-o", str(out)])
+        assert (code, err) == (
+            2, f"nilcert: --sigma must be a comma-separated list of integers: {bad!r}\n")
+    assert not out.exists()
+    code, _, err = main_in_process(
+        ["permute", path, "--factors", "x; y; z", "--sigma", "2, 1, 3", "-o", str(out)])
+    assert code == 0, err
+    assert json.loads(out.read_bytes())["claim"] == [["1", ["y", "x", "z"]]]
+
+
 # -- intersect ----------------------------------------------------------------
 
 
@@ -426,6 +442,19 @@ def test_budget_env_validation(tmp_path):
         result = run("demo", "x2", cwd=tmp_path, env_extra={"NILCERT_MAX_NODES": bad})
         assert result.returncode == 2
         assert "NILCERT_MAX_NODES" in result.stderr
+
+
+def test_budget_env_takes_ascii_digits_only(tmp_path, monkeypatch):
+    # int() would read the Arabic-Indic "10" and "1_0" as 10
+    path = str(make_three_factor_cert(tmp_path))
+    for bad in ("\u0661\u0660", "1_0", "+10", "\uff11\uff10"):
+        monkeypatch.setenv("NILCERT_MAX_NODES", bad)
+        assert main_in_process(["check", path]) == (
+            2, "", f"nilcert: NILCERT_MAX_NODES must be a positive integer, got {bad!r}\n")
+    monkeypatch.setenv("NILCERT_MAX_NODES", " 10\n")
+    code, out, err = main_in_process(["check", path])
+    assert (code, err) == (0, ""), err
+    assert "valid (1 nodes" in out
 
 
 def test_budget_env_caps_construction(tmp_path):

@@ -10,6 +10,7 @@ import pytest
 import witgen
 from nilcert import (
     BudgetExceededError,
+    CentralConstants,
     DagBuilder,
     GeneratorSet,
     NIL,
@@ -17,6 +18,7 @@ from nilcert import (
     Poly,
     SQRT,
     base_symbol,
+    central_roots_witness,
     certificate_from_dag,
     check_certificate,
     fresh_schematic,
@@ -201,6 +203,31 @@ def test_nil_product_through_red_nodes():
     out = nil_product(q, p)
     assert out.conclusion == z * x * y
     assert_valid(out)
+
+
+def test_nil_product_translates_a_red_node_by_one_rotation():
+    # a translated Red costs a rotation (two nodes), a one-sided Mult and a
+    # Red, and squares no more than the rotated word (c*y*c, or c*a*c on
+    # q's side); an insert would add a fifth node and square c*y*c*y
+    c, w = x + y + x * z, x - z  # 3 and 2 terms; no cancellation among words
+    pb = DagBuilder(NIL, GeneratorSet((c * c,)))
+    red_p = pb.build(pb.red(pb.intro(0), c))
+    qb = DagBuilder(NIL, GeneratorSet((w,)))
+    intro_q = qb.build(qb.intro(0))
+    for p, q, claim in ((red_p, intro_q, c * w), (intro_q, red_p, w * c)):
+        out = nil_product(p, q)
+        assert out.conclusion == claim
+        assert len(out) == 1 + 4  # Intro of the new generator, then the Red
+        assert max(len(concl) for concl in out.conclusions) <= 3**4 * 2**2
+        assert_valid(out)
+
+
+def test_left_folded_central_roots_stay_small_at_four_constants():
+    cert = central_roots_witness(CentralConstants((0, 1, -1, 2)))
+    verdict = check_certificate(cert)
+    assert verdict.ok, str(verdict)
+    assert len(cert.nodes) <= 387
+    assert max(len(concl) for concl in verdict.conclusions) <= 16_384
 
 
 def test_nil_product_with_common_generators():
