@@ -105,37 +105,26 @@ def check_certificate(cert: Certificate) -> Verdict:
 
     # structural pass: kinds vs setting, index ranges, reference ranges
     for i, node in enumerate(nodes):
-        if isinstance(node, Intro):
+        kind = type(node)
+        if kind not in _CHILDREN:
+            return _invalid(i, WRONG_SETTING, f"unknown node kind {kind.__name__}")
+        if kind is Intro:
             if not 0 <= node.gen_index < len(gens.elements):
                 return _invalid(i, GEN_INDEX, f"generator index {node.gen_index}")
-        elif isinstance(node, IntroFamily):
+        elif kind is IntroFamily:
             if setting != "sqrt":
                 return _invalid(i, WRONG_SETTING, "IntroFamily outside sqrt setting")
             if not 0 <= node.family_index < len(gens.families):
                 return _invalid(i, GEN_INDEX, f"family index {node.family_index}")
-        elif isinstance(node, Zero):
-            pass
-        elif isinstance(node, Add):
-            for ref in (node.left, node.right):
-                if not 0 <= ref < n:
-                    return _invalid(i, BAD_REF, f"reference to unknown node {ref}")
-        elif isinstance(node, Mult):
-            if not 0 <= node.inner < n:
-                return _invalid(i, BAD_REF, f"reference to unknown node {node.inner}")
-        elif isinstance(node, Red):
-            if setting != "nil":
-                return _invalid(i, WRONG_SETTING, "Red outside nil setting")
-            if not 0 <= node.premise < n:
-                return _invalid(i, BAD_REF, f"reference to unknown node {node.premise}")
-        elif isinstance(node, Semiprime):
-            if setting != "sqrt":
-                return _invalid(i, WRONG_SETTING, "Semiprime outside sqrt setting")
-            if not 0 <= node.premise < n:
-                return _invalid(i, BAD_REF, f"reference to unknown node {node.premise}")
-            if not node.bound.is_schematic:
-                return _invalid(i, SEMIPRIME_SHAPE, "bound symbol is not schematic")
-        else:
-            return _invalid(i, WRONG_SETTING, f"unknown node kind {type(node).__name__}")
+        elif kind is Red and setting != "nil":
+            return _invalid(i, WRONG_SETTING, "Red outside nil setting")
+        elif kind is Semiprime and setting != "sqrt":
+            return _invalid(i, WRONG_SETTING, "Semiprime outside sqrt setting")
+        for ref in _CHILDREN[kind](node):
+            if not 0 <= ref < n:
+                return _invalid(i, BAD_REF, f"reference to unknown node {ref}")
+        if kind is Semiprime and not node.bound.is_schematic:
+            return _invalid(i, SEMIPRIME_SHAPE, "bound symbol is not schematic")
 
     if not 0 <= cert.root < n:
         return _invalid(None, BAD_REF, f"root {cert.root} out of range")

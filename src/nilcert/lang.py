@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
-from nilcert.ring import Poly, Symbol, base_symbol, commutator, format_poly
+from nilcert.ring import _NAME_RE, Poly, Symbol, base_symbol, commutator, format_poly
 
 __all__ = [
     "ParseError",
@@ -279,7 +279,7 @@ def parse_problem(src: str) -> ProblemFile:
 
     symbols = tuple(_split_items(fields.get("symbols", "")))
     for name in symbols:
-        if not name.isidentifier() or not name[0].isalpha():
+        if not _NAME_RE.match(name):
             raise ProblemError(f"invalid symbol name {name!r}", lines["symbols"])
     if len(set(symbols)) != len(symbols):
         raise ProblemError("duplicate symbol name", lines["symbols"])

@@ -113,26 +113,23 @@ def base_symbol(name: str) -> Symbol:
     return Symbol(name, BASE)
 
 
-_uid_counter = itertools.count()
+_next_uid = 0
 _uid_lock = threading.Lock()
 
 
 def fresh_schematic(name: str = "z") -> Symbol:
     """A schematic symbol with a process-globally unique uid."""
+    global _next_uid
     with _uid_lock:
-        uid = next(_uid_counter)
+        uid, _next_uid = _next_uid, _next_uid + 1
     return Symbol(name, SCHEMATIC, uid)
 
 
 def reserve_uids(floor: int) -> None:
     """Ensure future fresh uids are >= ``floor`` (after loading files)."""
-    global _uid_counter
+    global _next_uid
     with _uid_lock:
-        current = next(_uid_counter)
-        if floor > current + 1:
-            _uid_counter = itertools.count(floor)
-        else:
-            _uid_counter = itertools.count(current + 1)
+        _next_uid = max(_next_uid, floor)
 
 
 # A word is a tuple of symbols; the empty tuple is the unit 1.

@@ -20,7 +20,7 @@ multiple, no insert, so no step squares more than the rotated word.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from nilcert.ring import Poly, Symbol, fresh_schematic
@@ -38,7 +38,6 @@ from nilcert.witness import (
     Semiprime,
     WitnessDag,
     Zero,
-    substitute_schematic,
 )
 
 __all__ = [
@@ -102,6 +101,7 @@ class Permutation:
 
 
 _ONE = Poly.one()
+_Env = tuple[tuple[Symbol, Poly], ...]  # pending (bound, image) instances
 
 
 def _rotate_at(builder: DagBuilder, node_id: int, u: Poly, v: Poly) -> int:
@@ -323,9 +323,14 @@ def sqrt_product(
 
     The recursion mirrors nil_product with the middle element threaded
     through: Mult cases absorb their outer factor into m, and a
-    Semiprime premise (a witness of x*bound*x, universally quantified
-    in the bound) is instantiated so that the recursive product becomes
-    (x*m*y)*t*(x*m*y) for a fresh bound t.
+    Semiprime premise (a witness of x*bound*x for every bound) is read
+    at bound := m*y*t for a fresh t (t*a*m on q's side), so that the
+    recursive product becomes (x*m*y)*t*(x*m*y).  Nothing is copied:
+    each side keeps its pending instances as (bound, image) pairs, and
+    every ring value read from that side goes through Poly.substitute.
+    Nothing can be captured either: each bound met is replaced and never
+    written out, a later pair shadows an earlier one, and substitute
+    replaces all bindings at once.
     """
     if p.setting != SQRT or q.setting != SQRT:
         raise SettingMismatchError("sqrt_product needs two sqrt witnesses")
@@ -334,56 +339,49 @@ def sqrt_product(
     out = DagBuilder(SQRT, GeneratorSet(common, families + ((a, b),)), max_nodes)
     distinguished = len(common)
     new_family = len(families)
-    # every DAG the recursion visits; memo keys name a DAG by its index here
-    dags: list[WitnessDag] = [p, q]
-    memo: dict[tuple[int, int, int, int, Poly], int] = {}
+    memo: dict[tuple[int, _Env, int, _Env, Poly], int] = {}
 
-    def prod(dp: int, pi: int, dq: int, qi: int, mid: Poly) -> int:
-        key = (dp, pi, dq, qi, mid)
+    def prod(pi: int, penv: _Env, qi: int, qenv: _Env, mid: Poly) -> int:
+        key = (pi, penv, qi, qenv, mid)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        node = dags[dp].nodes[pi]
-        y = dags[dq].conclusions[qi]
+        node = p.nodes[pi]
+        sub = dict(penv)
+        y = q.conclusions[qi].substitute(dict(qenv))
         if isinstance(node, Intro) and node.gen_index != distinguished:
             out_id = out.mult(_ONE, out.intro(node.gen_index), mid * y)
         elif isinstance(node, IntroFamily):
-            copied = out.intro_family(node.family_index, node.instance)
+            copied = out.intro_family(node.family_index, node.instance.substitute(sub))
             out_id = out.mult(_ONE, copied, mid * y)
         elif isinstance(node, Intro):
-            out_id = prod_right(dp, pi, dq, qi, mid)
+            out_id = prod_right(pi, penv, qi, qenv, mid)
         elif isinstance(node, Zero):
             out_id = out.zero()
         elif isinstance(node, Add):
             out_id = out.add(
-                prod(dp, node.left, dq, qi, mid), prod(dp, node.right, dq, qi, mid)
+                prod(node.left, penv, qi, qenv, mid), prod(node.right, penv, qi, qenv, mid)
             )
         elif isinstance(node, Mult):
-            inner = prod(dp, node.inner, dq, qi, node.right * mid)
-            out_id = out.mult(node.left, inner, _ONE)
+            inner = prod(node.inner, penv, qi, qenv, node.right.substitute(sub) * mid)
+            out_id = out.mult(node.left.substitute(sub), inner, _ONE)
         elif isinstance(node, Semiprime):
-            x = node.conclusion
             t = fresh_schematic(node.bound.name)
-            premise_dag = substitute_schematic(
-                replace(dags[dp], root=node.premise),
-                node.bound,
-                mid * y * Poly.symbol(t),
-                max_nodes,
-            )
-            dags.append(premise_dag)
-            inner = prod(len(dags) - 1, premise_dag.root, dq, qi, mid)
-            out_id = out.semiprime(t, inner, x * mid * y)
+            instance = penv + ((node.bound, mid * y * Poly.symbol(t)),)
+            inner = prod(node.premise, instance, qi, qenv, mid)
+            out_id = out.semiprime(t, inner, node.conclusion.substitute(sub) * mid * y)
         else:
             raise TransformError(f"unexpected node in sqrt witness: {node!r}")
         memo[key] = out_id
         return out_id
 
-    def prod_right(dp: int, pi: int, dq: int, qi: int, mid: Poly) -> int:
-        node = dags[dq].nodes[qi]
+    def prod_right(pi: int, penv: _Env, qi: int, qenv: _Env, mid: Poly) -> int:
+        node = q.nodes[qi]
+        sub = dict(qenv)
         if isinstance(node, Intro) and node.gen_index != distinguished:
             return out.mult(a * mid, out.intro(node.gen_index), _ONE)
         if isinstance(node, IntroFamily):
-            copied = out.intro_family(node.family_index, node.instance)
+            copied = out.intro_family(node.family_index, node.instance.substitute(sub))
             return out.mult(a * mid, copied, _ONE)
         if isinstance(node, Intro):
             return out.intro_family(new_family, mid)  # concludes a*mid*b
@@ -391,26 +389,19 @@ def sqrt_product(
             return out.zero()
         if isinstance(node, Add):
             return out.add(
-                prod(dp, pi, dq, node.left, mid), prod(dp, pi, dq, node.right, mid)
+                prod(pi, penv, node.left, qenv, mid), prod(pi, penv, node.right, qenv, mid)
             )
         if isinstance(node, Mult):
-            inner = prod(dp, pi, dq, node.inner, mid * node.left)
-            return out.mult(_ONE, inner, node.right)
+            inner = prod(pi, penv, node.inner, qenv, mid * node.left.substitute(sub))
+            return out.mult(_ONE, inner, node.right.substitute(sub))
         if isinstance(node, Semiprime):
-            y = node.conclusion
             t = fresh_schematic(node.bound.name)
-            premise_dag = substitute_schematic(
-                replace(dags[dq], root=node.premise),
-                node.bound,
-                Poly.symbol(t) * a * mid,
-                max_nodes,
-            )
-            dags.append(premise_dag)
-            inner = prod(dp, pi, len(dags) - 1, premise_dag.root, mid)
-            return out.semiprime(t, inner, a * mid * y)
+            instance = qenv + ((node.bound, Poly.symbol(t) * a * mid),)
+            inner = prod(pi, penv, node.premise, instance, mid)
+            return out.semiprime(t, inner, a * mid * node.conclusion.substitute(sub))
         raise TransformError(f"unexpected node in sqrt witness: {node!r}")
 
-    return out.build(prod(0, p.root, 1, q.root, m))
+    return out.build(prod(p.root, (), q.root, (), m))
 
 
 def sqrt_intersect(

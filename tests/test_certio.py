@@ -288,6 +288,14 @@ def test_a_repeated_spelling_still_reserves_its_uid():
     assert fresh_schematic("z").uid > top
 
 
+def test_reading_a_schematic_free_certificate_draws_no_uid():
+    data = serialize(small_cert())
+    before = fresh_schematic("z").uid
+    for _ in range(3):
+        deserialize(data)
+    assert fresh_schematic("z").uid == before + 1
+
+
 def every_site_cert() -> dict:
     """A well-shaped certificate (not a valid derivation) with every
     polynomial site.  Each site holds the same two terms, so past the

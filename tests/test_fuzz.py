@@ -12,6 +12,7 @@ a Verdict; any other exception is a bug.
 
 from __future__ import annotations
 
+import copy
 import json
 import pathlib
 import random
@@ -95,7 +96,7 @@ def mutate(rng: random.Random, data: bytes) -> bytes:
             if target and rng.random() < 0.6:
                 del target[rng.choice(sorted(target))]
             elif absent:  # a present key is never overwritten, so refs stay put
-                target[rng.choice(absent)] = rng.choice(JSON_VALUES)
+                target[rng.choice(absent)] = copy.deepcopy(rng.choice(JSON_VALUES))
             continue
         wanted = {"type": lambda p: True, "spelling": is_spelling,
                   "coefficient": is_coefficient, "ref": is_ref}[kind]
@@ -105,7 +106,7 @@ def mutate(rng: random.Random, data: bytes) -> bytes:
         container, key, path = rng.choice(chosen)
         old = container[key]
         if kind == "type":
-            new = rng.choice([v for v in JSON_VALUES if type(v) is not type(old)])
+            new = copy.deepcopy(rng.choice([v for v in JSON_VALUES if type(v) is not type(old)]))
             if is_ref(path) and isinstance(new, int) and not isinstance(new, bool):
                 new = -1 - abs(new)  # an int in a reference slot stays out of range
         elif kind == "spelling":

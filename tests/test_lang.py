@@ -148,6 +148,7 @@ def test_problem_comments_and_blank_lines_ignored():
         ("setting: nil\ncolor: red\n", "unknown key", 2),
         ("setting: nil\njust some text\n", "expected 'key: value'", 2),
         ("setting: nil\nsymbols: 3x\n", "invalid symbol name", 2),
+        ("setting: nil\nsymbols: é\n", "invalid symbol name", 2),
         ("setting: nil\nsymbols: x; x\n", "duplicate symbol", 2),
         ("setting: nil\nfamilies: a | b\n", "only allowed when setting is sqrt", 2),
         ("setting: sqrt\nsymbols: a\nfamilies: a\n", "'left | right'", 3),

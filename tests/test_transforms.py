@@ -348,6 +348,52 @@ def test_sqrt_product_instantiates_semiprime_premises():
     assert_valid(out)
 
 
+def bound_reusing_witnesses(c, w):
+    """Over (c,): nested Semiprimes that share the bound w; a witness of
+    c + w*c whose w is also bound inside a Semiprime; and a Semiprime
+    over a fresh v around one over w whose conclusion c*v mentions v, so
+    a middle that mentions w meets w inside the scope of w."""
+    W, v = Poly.symbol(w), fresh_schematic("v")
+    V = Poly.symbol(v)
+    b = DagBuilder(SQRT, GeneratorSet((c,)))
+    inner = b.semiprime(w, b.mult(c * W, b.intro(0), one), c)
+    nested = b.build(b.semiprime(w, b.mult(c * W, inner, one), c))
+    free = b.build(b.add(inner, b.mult(W, b.intro(0), one)))
+    scoped = b.semiprime(w, b.mult(c * V * W, b.intro(0), V), c * V)
+    around = b.build(b.semiprime(v, b.mult(one, scoped, c), c))
+    return nested, free, around
+
+
+def test_sqrt_product_reads_reused_bounds_without_capture():
+    w = fresh_schematic("w")
+    qb = DagBuilder(SQRT, GeneratorSet((y,)))
+    for p in bound_reusing_witnesses(x, w):
+        for q in (qb.build(qb.intro(0)), *bound_reusing_witnesses(y, w)):
+            for mid in (one, Poly.symbol(w), x * Poly.symbol(w) + y):
+                for left, right in ((p, q), (q, p)):
+                    out = sqrt_product(left, right, mid)
+                    assert out.conclusion == left.conclusion * mid * right.conclusion
+                    assert_valid(out)
+
+
+def test_sqrt_product_builds_in_one_arena(monkeypatch):
+    w = fresh_schematic("w")
+    p = bound_reusing_witnesses(x, w)[0]
+    q = bound_reusing_witnesses(y, w)[0]
+    arenas = []
+    init = DagBuilder.__init__
+
+    def counting_init(self, *args, **kwargs):
+        arenas.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DagBuilder, "__init__", counting_init)
+    out = sqrt_product(p, q, z)
+    assert len(arenas) == 1
+    assert out.conclusion == x * z * y
+    assert_valid(out)
+
+
 def test_sqrt_product_random_pairs():
     rng = random.Random(71)
     for trial in range(40):
