@@ -26,10 +26,10 @@ The reader and the other structural code take a node's fields from
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from nilcert.checker import check_certificate
+from nilcert.record import Record
 from nilcert.ring import _NUMERAL, Poly, Symbol, _wrap, reserve_uids, symbols_of, term_sorter
 from nilcert.witness import (
     DEFAULT_MAX_NODES,
@@ -88,17 +88,14 @@ class UnsupportedVersionError(MalformedCertificateError):
         self.version = version
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Parsed certificate data, still untrusted until checked."""
 
-    setting: str
-    symbols: tuple[str, ...]
-    generators: GeneratorSet
-    claim: Poly
-    nodes: tuple[Node, ...]
-    root: int
-    version: int = FORMAT_VERSION
+    __slots__ = ()
+
+    def __new__(cls, setting: str, symbols: tuple[str, ...], generators: GeneratorSet, claim: Poly,
+                nodes: tuple[Node, ...], root: int, version: int = FORMAT_VERSION):
+        return tuple.__new__(cls, (setting, symbols, generators, claim, nodes, root, version))
 
 
 # -- writing ----------------------------------------------------------

@@ -28,9 +28,9 @@ conclusion of every node, so callers reuse this one evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from nilcert.record import Record
 from nilcert.ring import Poly
 from nilcert.witness import REF, Add, Intro, IntroFamily, Mult, Red, Semiprime, Zero, field_getters
 
@@ -62,14 +62,13 @@ GEN_INDEX = "GEN_INDEX"
 _CHILDREN = field_getters(REF)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    ok: bool
-    node: int | None = None
-    reason: str | None = None
-    detail: str = ""
-    order: tuple[int, ...] = field(default=(), compare=False, repr=False)
-    conclusions: tuple[Poly, ...] = field(default=(), compare=False, repr=False)
+class Verdict(Record):
+    __slots__ = ()
+    _compared = 4  # order and conclusions ride along, outside equality, hashing and repr
+
+    def __new__(cls, ok: bool, node: int | None = None, reason: str | None = None, detail: str = "",
+                order: tuple[int, ...] = (), conclusions: tuple[Poly, ...] = ()):
+        return tuple.__new__(cls, (ok, node, reason, detail, order, conclusions))
 
     def __bool__(self) -> bool:
         return self.ok

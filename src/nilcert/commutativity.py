@@ -12,11 +12,10 @@ the proof log as explicitly flagged narrative steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from nilcert.certio import Certificate, certificate_from_dag
 from nilcert.checker import check_certificate
 from nilcert.lang import print_poly
+from nilcert.record import Record
 from nilcert.ring import Poly, Symbol, base_symbol
 from nilcert.witness import (
     Add,
@@ -45,36 +44,39 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CentralConstants:
+class CentralConstants(Record):
     """Distinct integers c_1..c_n; integers are central in the free ring."""
 
-    constants: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "constants", tuple(self.constants))
-        if not self.constants:
-            raise ValueError("need at least one constant")
-        if len(set(self.constants)) != len(self.constants):
-            raise ValueError("constants must be pairwise distinct")
-        if not all(isinstance(c, int) for c in self.constants):
+    def __new__(cls, constants: tuple[int, ...]):
+        constants = tuple(constants)
+        if not all(isinstance(c, int) and not isinstance(c, bool) for c in constants):
             raise ValueError("constants must be integers")
+        if not constants:
+            raise ValueError("need at least one constant")
+        if len(set(constants)) != len(constants):
+            raise ValueError("constants must be pairwise distinct")
+        return tuple.__new__(cls, (constants,))
 
 
 class UnsupportedExponentError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ProofStep:
-    statement: str
-    kind: str  # "certified" or "narrative"
-    cert_ref: tuple[int, int] | None = None
+class ProofStep(Record):
+    __slots__ = ()
+
+    def __new__(cls, statement: str, kind: str, cert_ref: tuple[int, int] | None = None):
+        # kind is "certified" or "narrative"
+        return tuple.__new__(cls, (statement, kind, cert_ref))
 
 
-@dataclass(frozen=True)
-class ProofLog:
-    steps: tuple[ProofStep, ...]
+class ProofLog(Record):
+    __slots__ = ()
+
+    def __new__(cls, steps: tuple[ProofStep, ...]):
+        return tuple.__new__(cls, (steps,))
 
     def render(self, style: str = "text") -> str:
         if style not in ("text", "markdown"):

@@ -15,9 +15,9 @@ text, one `key: value` per line, with `;` separating list items and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
+from nilcert.record import Record
 from nilcert.ring import _NAME_RE, Poly, Symbol, base_symbol, commutator, format_poly
 
 __all__ = [
@@ -58,12 +58,12 @@ class ProblemError(ValueError):
 _PUNCT = "+-*^()[],"
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "int", "ident", one of _PUNCT, or "end"
-    text: str
-    line: int
-    col: int
+class _Token(Record):
+    __slots__ = ()
+
+    def __new__(cls, kind: str, text: str, line: int, col: int):
+        # kind is "int", "ident", one of _PUNCT, or "end"
+        return tuple.__new__(cls, (kind, text, line, col))
 
 
 def _tokenize(src: str) -> list[_Token]:
@@ -210,19 +210,18 @@ def print_poly(p: Poly, order: Sequence[str] | None = None) -> str:
     return format_poly(p, order)
 
 
-@dataclass(frozen=True)
-class ProblemFile:
+class ProblemFile(Record):
     """A membership problem as authored by a human.
 
     Expressions are kept as source strings; the parse methods validate
     them against the declared alphabet on demand.
     """
 
-    setting: str
-    symbols: tuple[str, ...]
-    generators: tuple[str, ...]
-    families: tuple[tuple[str, str], ...]
-    claim: str | None
+    __slots__ = ()
+
+    def __new__(cls, setting: str, symbols: tuple[str, ...], generators: tuple[str, ...],
+                families: tuple[tuple[str, str], ...], claim: str | None):
+        return tuple.__new__(cls, (setting, symbols, generators, families, claim))
 
     def alphabet(self) -> dict[str, Symbol]:
         return {name: base_symbol(name) for name in self.symbols}

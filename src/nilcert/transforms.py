@@ -20,9 +20,9 @@ multiple, no insert, so no step squares more than the rotated word.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
+from nilcert.record import Record
 from nilcert.ring import Poly, Symbol, fresh_schematic
 from nilcert.witness import (
     Add,
@@ -77,16 +77,18 @@ class ConclusionMismatchError(TransformError):
     pass
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Record):
     """Images sigma(1), ..., sigma(n) of a permutation of {1..n}."""
 
-    image: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "image", tuple(self.image))
-        if sorted(self.image) != list(range(1, len(self.image) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(self.image)}: {self.image}")
+    def __new__(cls, image: tuple[int, ...]):
+        image = tuple(image)
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in image):
+            raise ValueError(f"permutation images must be integers: {image}")
+        if sorted(image) != list(range(1, len(image) + 1)):
+            raise ValueError(f"not a permutation of 1..{len(image)}: {image}")
+        return tuple.__new__(cls, (image,))
 
     @property
     def n(self) -> int:

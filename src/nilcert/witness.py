@@ -21,15 +21,18 @@ construction; the separate checker module re-verifies serialized
 certificates from scratch without trusting any of this.
 
 FIELDS is where node structure lives: each kind's fields in constructor
-order, with roles.  Structural code reads it; code giving meaning names kinds.
+order, with roles.  Each kind is made from its entry; a node is the
+tuple of its field values followed by its kind, so it equals only nodes
+of the same kind.  Structural code reads FIELDS; code giving meaning
+names kinds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import attrgetter
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Union
 
+from nilcert.record import Record
 from nilcert.ring import Poly, Symbol, fresh_schematic
 
 __all__ = [
@@ -68,81 +71,88 @@ class BudgetExceededError(WitnessError):
     """The node arena outgrew the configured limit."""
 
 
-@dataclass(frozen=True)
-class Intro:
-    gen_index: int
+# field roles: a node id, a generator or family index, ring data
+REF, INDEX, POLY, SYMBOL = "ref", "index", "poly", "symbol"
+FIELDS: dict[type, tuple[tuple[str, str], ...]] = {}  # filled by _kind below
+
+_new = tuple.__new__
+_NEW = (  # a constructor per arity, so the interpreter binds and counts the fields
+    lambda cls: _new(cls, (cls,)),
+    lambda cls, a: _new(cls, (a, cls)),
+    lambda cls, a, b: _new(cls, (a, b, cls)),
+    lambda cls, a, b, c: _new(cls, (a, b, c, cls)),
+)
 
 
-@dataclass(frozen=True)
-class IntroFamily:
-    family_index: int
-    instance: Poly
+class _Node(Record):
+    """A node: its kind's FIELDS values, in order, then the kind itself.
+    Every DagBuilder lookup hashes and compares nodes; with the kind in
+    the tuple, tuple's own hash and equality tell kinds apart."""
+
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = tuple.__eq__, tuple.__ne__, tuple.__hash__
+    _format = ""  # the repr, e.g. "Add(left=%r, right=%r)"
+
+    def __getnewargs__(self) -> tuple:
+        return self[:-1]
+
+    def __repr__(self) -> str:
+        return self._format % self[:-1]
 
 
-@dataclass(frozen=True)
-class Zero:
-    pass
+def _kind(name: str, *fields: tuple[str, str]) -> type:
+    """The node kind with these (name, role) fields, entered in FIELDS."""
+    names = tuple(field for field, _ in fields)
+    kind = type(name, (_Node,), {
+        "__slots__": (), "_format": f"{name}({', '.join(field + '=%r' for field in names)})",
+    })
+    kind.__new__ = _NEW[len(names)]
+    kind._set_fields(names)
+    FIELDS[kind] = fields
+    return kind
 
 
-@dataclass(frozen=True)
-class Add:
-    left: int
-    right: int
-
-
-@dataclass(frozen=True)
-class Mult:
-    left: Poly
-    inner: int
-    right: Poly
-
-
-@dataclass(frozen=True)
-class Red:
-    premise: int
-    conclusion: Poly
-
-
-@dataclass(frozen=True)
-class Semiprime:
-    bound: Symbol
-    premise: int
-    conclusion: Poly
-
+Intro = _kind("Intro", ("gen_index", INDEX))
+IntroFamily = _kind("IntroFamily", ("family_index", INDEX), ("instance", POLY))
+Zero = _kind("Zero")
+Add = _kind("Add", ("left", REF), ("right", REF))
+Mult = _kind("Mult", ("left", POLY), ("inner", REF), ("right", POLY))
+Red = _kind("Red", ("premise", REF), ("conclusion", POLY))
+Semiprime = _kind("Semiprime", ("bound", SYMBOL), ("premise", REF), ("conclusion", POLY))
 
 Node = Union[Intro, IntroFamily, Zero, Add, Mult, Red, Semiprime]
 
-# field roles: a node id, a generator or family index, ring data
-REF, INDEX, POLY, SYMBOL = "ref", "index", "poly", "symbol"
-FIELDS: dict[type, tuple[tuple[str, str], ...]] = {
-    Intro: (("gen_index", INDEX),),
-    IntroFamily: (("family_index", INDEX), ("instance", POLY)),
-    Zero: (),
-    Add: (("left", REF), ("right", REF)),
-    Mult: (("left", POLY), ("inner", REF), ("right", POLY)),
-    Red: (("premise", REF), ("conclusion", POLY)),
-    Semiprime: (("bound", SYMBOL), ("premise", REF), ("conclusion", POLY)),
+# each kind's field positions by role
+_AT = {
+    kind: {role: [i for i, (_, r) in enumerate(fields) if r == role] for _, role in fields}
+    for kind, fields in FIELDS.items()
 }
 
 
 def field_getters(role: str) -> dict[type, Callable[[Node], tuple]]:
     """For each kind, a function giving its ``role`` fields as a tuple."""
     getters = {}
-    for kind, fields in FIELDS.items():
-        names = [name for name, field_role in fields if field_role == role]
-        if len(names) == 1:
-            getters[kind] = lambda node, get=attrgetter(*names): (get(node),)
-        else:  # attrgetter gives a tuple for two or more names
-            getters[kind] = attrgetter(*names) if names else lambda node: ()
+    for kind, positions in _AT.items():
+        at = positions.get(role, [])
+        if len(at) > 1:
+            getters[kind] = itemgetter(*at)
+        else:  # a slice keeps one position, or none, as a tuple
+            getters[kind] = itemgetter(slice(at[0], at[0] + 1) if at else slice(0))
     return getters
 
 
 def map_fields(node: Node, fns: Mapping[str, Callable]) -> Node:
-    """``node`` rebuilt with ``fns[role]`` applied to each field of that role."""
-    return type(node)(*[
-        fns[role](getattr(node, name)) if role in fns else getattr(node, name)
-        for name, role in FIELDS[type(node)]
-    ])
+    """``node`` with ``fns[role]`` applied to each field of that role (role
+    by role in the order of ``fns``, fields in order); the node itself when
+    it has no field of those roles."""
+    values = None
+    at = _AT[type(node)]
+    for role, fn in fns.items():
+        for i in at.get(role, ()):
+            if values is None:
+                values = list(node)  # the fields, then the kind
+            values[i] = fn(values[i])
+    return node if values is None else _new(type(node), values)
 
 
 class GeneratorSet:
@@ -189,8 +199,7 @@ class GeneratorSet:
         return f"GeneratorSet({list(self.elements)!r}, {list(self.families)!r})"
 
 
-@dataclass(frozen=True)
-class WitnessDag:
+class WitnessDag(Record):
     """An immutable, valid-by-construction derivation.
 
     DagBuilder creates these, checking every invariant (reference
@@ -198,11 +207,11 @@ class WitnessDag:
     taking them from a verdict the checker accepted (dag_from_certificate).
     """
 
-    setting: str
-    generators: GeneratorSet
-    nodes: tuple[Node, ...]
-    conclusions: tuple[Poly, ...]
-    root: int
+    __slots__ = ()
+
+    def __new__(cls, setting: str, generators: GeneratorSet, nodes: tuple[Node, ...],
+                conclusions: tuple[Poly, ...], root: int):
+        return tuple.__new__(cls, (setting, generators, nodes, conclusions, root))
 
     @property
     def conclusion(self) -> Poly:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import io
 import json
 import pathlib
@@ -36,7 +35,7 @@ from nilcert import (
     serialize,
 )
 from nilcert.ring import SCHEMATIC, Symbol, sorted_terms
-from nilcert.witness import Add, Intro, IntroFamily, Mult, Node, Red, Semiprime, Zero
+from nilcert.witness import FIELDS, Add, Intro, IntroFamily, Mult, Node, Red, Semiprime, Zero
 
 x = Poly.symbol(base_symbol("x"))
 y = Poly.symbol(base_symbol("y"))
@@ -106,7 +105,7 @@ def reference_serialize(cert: Certificate) -> bytes:
 
     nodes = [
         {"id": i, "op": OPS[type(n)],
-         **{KEYS.get(f.name, f.name): value(getattr(n, f.name)) for f in dataclasses.fields(n)}}
+         **{KEYS.get(name, name): value(getattr(n, name)) for name, _ in FIELDS[type(n)]}}
         for i, n in enumerate(cert.nodes)
     ]
     obj = {
@@ -480,7 +479,7 @@ def renumbered(node, new_id):
         for name in REFERENCE_FIELDS
         if isinstance(getattr(node, name, None), int)
     }
-    return dataclasses.replace(node, **refs)
+    return node._replace(**refs)
 
 
 def readmitted(cert: Certificate):
@@ -501,7 +500,7 @@ def shuffled_with_duplicate(cert: Certificate, rng: random.Random) -> Certificat
     for old, node in enumerate(cert.nodes):
         nodes[new_id[old]] = renumbered(node, new_id.__getitem__)
     nodes.append(rng.choice(nodes))
-    return dataclasses.replace(cert, nodes=tuple(nodes), root=new_id[cert.root])
+    return cert._replace(nodes=tuple(nodes), root=new_id[cert.root])
 
 
 def test_dag_from_certificate_matches_a_readmitted_reference(tmp_path):

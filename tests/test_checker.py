@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -90,12 +89,12 @@ def test_valid_random_witnesses_pass():
 
 
 def test_wrong_setting():
-    cert = replace(nil_cert(), setting="sqrt")  # contains a Red node
+    cert = nil_cert()._replace(setting="sqrt")  # contains a Red node
     verdict = verdict_of(cert)
     assert (verdict.reason, verdict.ok) == (WRONG_SETTING, False)
     assert verdict.node == 2  # the Red
 
-    verdict = verdict_of(replace(sqrt_cert(), setting="nil"))
+    verdict = verdict_of(sqrt_cert()._replace(setting="nil"))
     assert verdict.reason == WRONG_SETTING
     assert verdict.node is None  # families already illegal before any node
 
@@ -108,7 +107,7 @@ def test_wrong_setting():
     )
     assert verdict_of(fam_free).reason == WRONG_SETTING
 
-    verdict = verdict_of(replace(nil_cert(), setting="radical"))
+    verdict = verdict_of(nil_cert()._replace(setting="radical"))
     assert (verdict.reason, verdict.node) == (WRONG_SETTING, None)
 
     verdict = verdict_of(
@@ -160,11 +159,11 @@ def test_red_square_mismatch():
     nodes = list(cert.nodes)
     i = next(k for k, nd in enumerate(nodes) if isinstance(nd, Red))
     nodes[i] = Red(nodes[i].premise, y * x)
-    verdict = verdict_of(replace(cert, nodes=tuple(nodes)))
+    verdict = verdict_of(cert._replace(nodes=tuple(nodes)))
     assert (verdict.reason, verdict.node) == (RED_SQUARE_MISMATCH, i)
 
     nodes[i] = Red(nodes[i].premise, 2 * x * y)
-    verdict = verdict_of(replace(cert, nodes=tuple(nodes)))
+    verdict = verdict_of(cert._replace(nodes=tuple(nodes)))
     assert verdict.reason == RED_SQUARE_MISMATCH
 
 
@@ -212,7 +211,7 @@ def test_never_bound_schematic_generator_is_accepted():
 
 def test_claim_mismatch():
     cert = nil_cert()
-    verdict = verdict_of(replace(cert, claim=cert.claim + one))
+    verdict = verdict_of(cert._replace(claim=cert.claim + one))
     assert (verdict.reason, verdict.node) == (CLAIM_MISMATCH, cert.root)
     assert not verdict
     assert str(verdict).startswith("invalid: node")

@@ -237,6 +237,22 @@ def test_importing_the_cli_builds_no_parser():
     assert built > 0 and again == built
 
 
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # every CLI call pays for this import, and loading those two modules
+    # made up about a third of it
+    probe = "\n".join([
+        "import sys",
+        "bare = set(sys.modules)",
+        "import nilcert.cli",
+        "print(*sorted(set(sys.modules) - bare))",
+    ])
+    result = python("-c", probe)
+    assert result.returncode == 0, result.stderr
+    added = set(result.stdout.split())
+    assert "nilcert.cli" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
 # -- product -----------------------------------------------------------------
 
 

@@ -40,6 +40,14 @@ def test_central_constants_validation():
         CentralConstants((1, "2"))
 
 
+def test_central_constants_rejects_unhashable_entries():
+    # the distinctness check hashed each entry before the integer check ran
+    with pytest.raises(ValueError, match="integers"):
+        CentralConstants(([1],))
+    with pytest.raises(ValueError, match="integers"):
+        CentralConstants((0, True))
+
+
 def test_commutator_factor_witness_is_independent_of_the_shift():
     for c in range(-5, 6):
         dag = commutator_factor_witness(c, base_symbol("x"), base_symbol("y"))
@@ -148,8 +156,6 @@ def test_emit_proof_log_for_a_zero_only_certificate():
 
 def test_emit_proof_log_refuses_invalid_certificates():
     cert, _ = xn_demo(2)
-    from dataclasses import replace
-
-    broken = replace(cert, claim=cert.claim + Poly.one())
+    broken = cert._replace(claim=cert.claim + Poly.one())
     with pytest.raises(WitnessError, match="CLAIM_MISMATCH"):
         emit_proof_log(broken)

@@ -116,6 +116,20 @@ def test_permutation_validation():
             Permutation(bad)
 
 
+def test_permutation_rejects_float_images():
+    # 1.0 == 1, so a sortedness check alone let this through to permute
+    with pytest.raises(ValueError, match="integers"):
+        Permutation((1.0, 2))
+
+
+def test_permutation_rejects_non_numeric_images():
+    # sorting mixed types raised TypeError before the images were checked
+    with pytest.raises(ValueError, match="integers"):
+        Permutation((1, "a"))
+    with pytest.raises(ValueError, match="integers"):
+        Permutation((True, 2))
+
+
 def test_permute_identity_returns_the_input():
     w = product_witness("x", "y", "z")
     assert permute(w, (x, y, z), Permutation((1, 2, 3))) is w

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-import dataclasses
+import copy
+import pickle
 import random
 import typing
 
@@ -13,16 +14,29 @@ from nilcert import (
     NIL,
     SQRT,
     BudgetExceededError,
+    CentralConstants,
+    Certificate,
     DagBuilder,
     GeneratorSet,
+    Permutation,
     Poly,
+    ProofLog,
+    ProofStep,
+    Verdict,
+    WitnessDag,
     WitnessError,
     base_symbol,
+    certificate_from_dag,
+    check_certificate,
     conclusion_of,
+    deserialize,
     fresh_schematic,
+    parse_problem,
+    serialize,
     substitute_schematic,
 )
-from nilcert.witness import FIELDS, INDEX, POLY, REF, SYMBOL, Node
+from nilcert.certio import FORMAT_VERSION
+from nilcert.witness import FIELDS, INDEX, POLY, REF, SYMBOL, Add, Intro, IntroFamily, Node, Red
 
 x = Poly.symbol(base_symbol("x"))
 y = Poly.symbol(base_symbol("y"))
@@ -237,9 +251,93 @@ def test_substitution_renames_bound_on_capture():
 # -- the field table -------------------------------------------------------
 
 
+def sample_fields(kind):
+    """Distinct values for each field of a kind, by position and role."""
+    bound = fresh_schematic("t")
+    return [
+        {REF: 10 + i, INDEX: i, POLY: x ** (i + 1) + y, SYMBOL: bound}[role]
+        for i, (_, role) in enumerate(FIELDS[kind])
+    ]
+
+
 def test_fields_names_every_constructor_field_in_order():
     kinds = typing.get_args(Node)
     assert set(FIELDS) == set(kinds)
     for kind in kinds:
-        assert [name for name, _ in FIELDS[kind]] == [f.name for f in dataclasses.fields(kind)]
         assert {role for _, role in FIELDS[kind]} <= {REF, INDEX, POLY, SYMBOL}
+        values = sample_fields(kind)
+        node = kind(*values)
+        assert [getattr(node, name) for name, _ in FIELDS[kind]] == values
+        assert node == kind(*values) and hash(node) == hash(kind(*values))
+        assert node and repr(node).startswith(f"{kind.__name__}(")
+        with pytest.raises(TypeError):
+            kind(*values, 0)
+        for name, _ in FIELDS[kind]:
+            with pytest.raises(AttributeError):
+                setattr(node, name, values[0])
+            changed = node._replace(**{name: None})
+            assert getattr(changed, name) is None and type(changed) is kind
+        with pytest.raises(AttributeError):
+            node.extra = 1
+        for copied in (pickle.loads(pickle.dumps(node)), copy.copy(node), copy.deepcopy(node)):
+            assert type(copied) is kind and copied == node
+
+
+def test_nodes_equal_only_nodes_of_their_kind():
+    p = x * y
+    assert Red(0, p) == Red(0, p) and hash(Red(0, p)) == hash(Red(0, p))
+    assert Red(0, p) != IntroFamily(0, p)
+    assert not Red(0, p) == IntroFamily(0, p)
+    assert len({Red(0, p), IntroFamily(0, p)}) == 2
+    assert Intro(0) != (0,) and (0,) != Intro(0)
+    assert not Intro(0) == (0,) and not (0,) == Intro(0)
+    assert {(0,): "tuple"}.get(Intro(0)) is None
+    assert Add(1, 2) != Add(2, 1)
+
+
+def test_records_keep_keywords_defaults_and_value_semantics():
+    b = DagBuilder(NIL, GENS)
+    dag = b.build(b.add(b.intro(0), b.zero()))
+    assert WitnessDag(
+        setting=NIL, generators=GENS, nodes=dag.nodes, conclusions=dag.conclusions, root=dag.root
+    ) == dag
+    cert = Certificate(
+        setting=NIL, symbols=("x", "y"), generators=GENS, claim=dag.conclusion,
+        nodes=dag.nodes, root=dag.root,
+    )
+    assert cert.version == FORMAT_VERSION
+    assert cert == certificate_from_dag(dag, symbols=("x", "y"))
+    assert deserialize(serialize(cert)) == cert
+    assert hash(deserialize(serialize(cert))) == hash(cert)
+    assert cert != tuple(cert) and tuple(cert) != cert
+    assert CentralConstants((2, 1)) != Permutation((2, 1))
+
+    verdict = Verdict(ok=False)
+    assert (verdict.node, verdict.reason, verdict.detail) == (None, None, "")
+    assert (verdict.order, verdict.conclusions) == ((), ())
+    assert not verdict and Verdict(True)
+    # order and conclusions ride along outside equality, hashing and repr
+    full = Verdict(True, order=(0, 1), conclusions=(x, y))
+    assert full == Verdict(True) and hash(full) == hash(Verdict(True))
+    assert repr(full) == "Verdict(ok=True, node=None, reason=None, detail='')"
+    assert check_certificate(cert) == Verdict(True)
+
+    with pytest.raises(TypeError, match="missing"):
+        Certificate(NIL, (), GENS)
+    with pytest.raises(TypeError):
+        Verdict(True, colour="red")
+    with pytest.raises(TypeError):
+        Verdict(True, ok=False)
+    with pytest.raises(TypeError):
+        cert._replace(colour="red")
+
+    for record in (dag, cert, full, CentralConstants((0, 1)), Permutation((2, 1)),
+                   ProofLog((ProofStep("s", "narrative"),)), parse_problem("setting: nil\n")):
+        assert type(record)._fields
+        for name in type(record)._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        for copied in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                       copy.deepcopy(record)):
+            assert type(copied) is type(record) and copied == record
+    assert copy.deepcopy(full).order == (0, 1)
