@@ -30,7 +30,7 @@ from typing import Any, Callable
 
 from nilcert.checker import check_certificate
 from nilcert.record import Record
-from nilcert.ring import _NUMERAL, Poly, Symbol, _wrap, reserve_uids, symbols_of, term_sorter
+from nilcert.ring import _NUMERAL, Poly, Symbol, _wrap, term_sorter
 from nilcert.witness import (
     DEFAULT_MAX_NODES,
     FIELDS,
@@ -49,7 +49,8 @@ from nilcert.witness import (
     WitnessDag,
     WitnessError,
     Zero,
-    field_getters,
+    dag_polys,
+    dag_symbols,
     map_fields,
 )
 
@@ -129,7 +130,7 @@ def serialize(cert: Certificate) -> bytes:
     if cert.version != FORMAT_VERSION:
         raise UnsupportedVersionError(cert.version)
     # one table orders and spells (as JSON strings) the symbols of every polynomial
-    polys = _polys(cert.generators, cert.claim, cert.nodes)
+    polys = dag_polys(cert.generators, cert.claim, cert.nodes)
     terms = term_sorter(polys, cert.symbols, lambda sym: json.dumps(sym.encode()))
     texts: dict[Poly, str] = {}  # wire text of each distinct polynomial value
 
@@ -179,7 +180,6 @@ class _Reader:
     """
 
     def __init__(self) -> None:
-        self.max_uid = -1
         self.codes: dict[str, str] = {}  # spelling -> ring code
         self.coeffs: dict[str, int] = {}  # decimal string -> nonzero int
 
@@ -206,9 +206,7 @@ class _Reader:
                 sym = Symbol.decode(value)
             except ValueError as err:
                 raise self.fail(str(err), where) from None
-            if sym.is_schematic:
-                self.max_uid = max(self.max_uid, sym.uid)
-            elif sym.name not in declared:
+            if not sym.is_schematic and sym.name not in declared:
                 raise self.fail(f"symbol {sym.name!r} not declared", where)
             code = self.codes[value] = sym.code
         return code
@@ -312,9 +310,7 @@ def deserialize(data: bytes) -> Certificate:
     """Parse certificate bytes, validating shape but not semantics.
 
     Raises MalformedCertificateError (with a byte offset for JSON-level
-    problems) or UnsupportedVersionError.  Fresh-uid generation is
-    advanced past every uid seen, so symbols created later never
-    collide with the loaded certificate.
+    problems) or UnsupportedVersionError.
     """
     try:
         obj = json.loads(data.decode("utf-8"))
@@ -392,7 +388,6 @@ def deserialize(data: bytes) -> Certificate:
 
     root = reader.intval(reader.get(obj, "root", "$"), "root")
 
-    reserve_uids(reader.max_uid + 1)
     return Certificate(
         setting=setting,
         symbols=tuple(symbols),
@@ -423,8 +418,7 @@ def certificate_from_dag(
         claim = dag.conclusion
     elif claim != dag.conclusion:
         raise WitnessError("claim differs from the root conclusion")
-    polys = _polys(dag.generators, dag.conclusion, dag.nodes)
-    seen = {s.name for s in symbols_of(polys) if not s.is_schematic}
+    seen = {s.name for s in dag_symbols(dag) if not s.is_schematic}
     if symbols is None:
         symbols = tuple(sorted(seen))
     else:
@@ -437,17 +431,6 @@ def certificate_from_dag(
         nodes=dag.nodes,
         root=dag.root,
     )
-
-
-_POLYS = field_getters(POLY)
-
-
-def _polys(generators: GeneratorSet, claim: Poly, nodes: tuple[Node, ...]) -> list[Poly]:
-    """Every polynomial of a certificate or DAG, shared ones repeated."""
-    polys = [*generators.all_polys(), claim]
-    for node in nodes:
-        polys += _POLYS[type(node)](node)
-    return polys
 
 
 def dag_from_certificate(

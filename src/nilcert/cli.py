@@ -33,7 +33,7 @@ from nilcert.transforms import (
     sqrt_intersect,
     sqrt_product,
 )
-from nilcert.witness import DEFAULT_MAX_NODES, GeneratorSet, WitnessDag, WitnessError
+from nilcert.witness import DEFAULT_MAX_NODES, GeneratorSet, WitnessDag, WitnessError, dag_symbols
 
 __all__ = ["main"]
 
@@ -152,7 +152,7 @@ def _cmd_product(args, max_nodes: int) -> int:
         if args.m is not None:
             middle = parse_poly(args.m, problem.symbols)
         else:
-            middle = Poly.symbol(fresh_schematic("z"))
+            middle = Poly.symbol(fresh_schematic("z", dict.fromkeys(dag_symbols(p_dag, q_dag))))
         out_dag = sqrt_product(p_dag, q_dag, middle, max_nodes)
     out_cert = certificate_from_dag(out_dag, symbols=problem.symbols)
     _write_cert(out_cert, args.out or "product.cert.json")
@@ -221,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_product.add_argument("p_certificate")
     p_product.add_argument("q_certificate")
     p_product.add_argument("--setting", choices=("nil", "sqrt"))
-    p_product.add_argument("--m", help="middle element (sqrt only; default fresh schematic)")
+    p_product.add_argument("--m", help="middle element (sqrt only; default the least unused z#uid)")
     p_product.add_argument("-o", "--out", help="output path (default product.cert.json)")
     p_product.set_defaults(func=_cmd_product)
 

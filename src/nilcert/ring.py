@@ -28,7 +28,6 @@ __all__ = [
     "Poly",
     "base_symbol",
     "fresh_schematic",
-    "reserve_uids",
     "commutator",
     "substitute",
     "sorted_terms",
@@ -113,23 +112,14 @@ def base_symbol(name: str) -> Symbol:
     return Symbol(name, BASE)
 
 
-_next_uid = 0
-_uid_lock = threading.Lock()
-
-
-def fresh_schematic(name: str = "z") -> Symbol:
-    """A schematic symbol with a process-globally unique uid."""
-    global _next_uid
-    with _uid_lock:
-        uid, _next_uid = _next_uid, _next_uid + 1
-    return Symbol(name, SCHEMATIC, uid)
-
-
-def reserve_uids(floor: int) -> None:
-    """Ensure future fresh uids are >= ``floor`` (after loading files)."""
-    global _next_uid
-    with _uid_lock:
-        _next_uid = max(_next_uid, floor)
+def fresh_schematic(name: str, taken: dict) -> Symbol:
+    """``name#uid`` with the least uid whose symbol is not a key of ``taken``, the symbols of one
+    call; it joins them, and ``taken[name]`` keeps the next uid to try, so no uid is tried twice."""
+    uid = taken.get(name, 0)
+    while (sym := Symbol(name, SCHEMATIC, uid)) in taken:
+        uid += 1
+    taken[sym], taken[name] = None, uid + 1
+    return sym
 
 
 # A word is a tuple of symbols; the empty tuple is the unit 1.

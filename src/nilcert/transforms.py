@@ -38,6 +38,7 @@ from nilcert.witness import (
     Semiprime,
     WitnessDag,
     Zero,
+    dag_symbols,
 )
 
 __all__ = [
@@ -326,13 +327,13 @@ def sqrt_product(
     The recursion mirrors nil_product with the middle element threaded
     through: Mult cases absorb their outer factor into m, and a
     Semiprime premise (a witness of x*bound*x for every bound) is read
-    at bound := m*y*t for a fresh t (t*a*m on q's side), so that the
-    recursive product becomes (x*m*y)*t*(x*m*y).  Nothing is copied:
-    each side keeps its pending instances as (bound, image) pairs, and
-    every ring value read from that side goes through Poly.substitute.
-    Nothing can be captured either: each bound met is replaced and never
-    written out, a later pair shadows an earlier one, and substitute
-    replaces all bindings at once.
+    at bound := m*y*t for a t fresh for p, q and m and drawn once (t*a*m
+    on q's side), so that the recursive product becomes (x*m*y)*t*(x*m*y).
+    Nothing is copied: each side keeps its pending instances as (bound,
+    image) pairs, and every ring value read from that side goes through
+    Poly.substitute.  Nothing can be captured either: each bound met is
+    replaced and never written out, a later pair shadows an earlier one,
+    and substitute replaces all bindings at once.
     """
     if p.setting != SQRT or q.setting != SQRT:
         raise SettingMismatchError("sqrt_product needs two sqrt witnesses")
@@ -341,6 +342,7 @@ def sqrt_product(
     out = DagBuilder(SQRT, GeneratorSet(common, families + ((a, b),)), max_nodes)
     distinguished = len(common)
     new_family = len(families)
+    taken = dict.fromkeys(dag_symbols(p, q) | m.symbols())
     memo: dict[tuple[int, _Env, int, _Env, Poly], int] = {}
 
     def prod(pi: int, penv: _Env, qi: int, qenv: _Env, mid: Poly) -> int:
@@ -368,7 +370,7 @@ def sqrt_product(
             inner = prod(node.inner, penv, qi, qenv, node.right.substitute(sub) * mid)
             out_id = out.mult(node.left.substitute(sub), inner, _ONE)
         elif isinstance(node, Semiprime):
-            t = fresh_schematic(node.bound.name)
+            t = fresh_schematic(node.bound.name, taken)
             instance = penv + ((node.bound, mid * y * Poly.symbol(t)),)
             inner = prod(node.premise, instance, qi, qenv, mid)
             out_id = out.semiprime(t, inner, node.conclusion.substitute(sub) * mid * y)
@@ -397,7 +399,7 @@ def sqrt_product(
             inner = prod(pi, penv, node.inner, qenv, mid * node.left.substitute(sub))
             return out.mult(_ONE, inner, node.right.substitute(sub))
         if isinstance(node, Semiprime):
-            t = fresh_schematic(node.bound.name)
+            t = fresh_schematic(node.bound.name, taken)
             instance = qenv + ((node.bound, Poly.symbol(t) * a * mid),)
             inner = prod(pi, penv, node.premise, instance, mid)
             return out.semiprime(t, inner, a * mid * node.conclusion.substitute(sub))
@@ -412,13 +414,13 @@ def sqrt_intersect(
     """Common membership: c in sqrt(U,a) and c in sqrt(U,b) give
     c in sqrt(U + family (a,b)).
 
-    The product with a fresh schematic middle gives c*z*c for every z
-    at once, which is exactly a Semiprime premise for c.
+    The product with a schematic middle z fresh for p and q gives c*z*c
+    for every z at once, which is exactly a Semiprime premise for c.
     """
     c = p.conclusion
     if c != q.conclusion:
         raise ConclusionMismatchError("the two witnesses conclude different elements")
-    bound = fresh_schematic("z")
+    bound = fresh_schematic("z", dict.fromkeys(dag_symbols(p, q)))
     product = sqrt_product(p, q, Poly.symbol(bound), max_nodes)
     builder = DagBuilder.from_dag(product, max_nodes)
     return builder.build(builder.semiprime(bound, product.root, c))

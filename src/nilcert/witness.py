@@ -33,7 +33,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Union
 
 from nilcert.record import Record
-from nilcert.ring import Poly, Symbol, fresh_schematic
+from nilcert.ring import Poly, Symbol, fresh_schematic, symbols_of
 
 __all__ = [
     "NIL",
@@ -54,6 +54,8 @@ __all__ = [
     "WitnessDag",
     "DagBuilder",
     "conclusion_of",
+    "dag_polys",
+    "dag_symbols",
     "substitute_schematic",
 ]
 
@@ -359,6 +361,26 @@ class DagBuilder:
         )
 
 
+_POLYS = field_getters(POLY)
+_SYMBOLS = field_getters(SYMBOL)
+
+
+def dag_polys(generators: GeneratorSet, claim: Poly, nodes: Iterable[Node]) -> list[Poly]:
+    """Every polynomial of a certificate or DAG, shared ones repeated."""
+    polys = [*generators.all_polys(), claim]
+    for node in nodes:
+        polys += _POLYS[type(node)](node)
+    return polys
+
+
+def dag_symbols(*dags: WitnessDag) -> set[Symbol]:
+    """Every symbol of the DAGs' generators and node fields, bounds included, so of every
+    conclusion, and of factors that none shows: those of a Mult over Add(s, -s)."""
+    polys = [p for dag in dags for p in dag_polys(dag.generators, dag.conclusion, dag.nodes)]
+    bounds = {b for dag in dags for node in dag.nodes for b in _SYMBOLS[type(node)](node)}
+    return symbols_of(polys) | bounds
+
+
 def substitute_schematic(
     dag: WitnessDag,
     sym: Symbol,
@@ -367,16 +389,17 @@ def substitute_schematic(
 ) -> WitnessDag:
     """Instantiate a schematic symbol throughout a witness.
 
-    Every Poly field is rewritten under sym -> value.  Semiprime bounds
-    are renamed to fresh symbols whenever the incoming substitution
-    touches them or could capture a symbol of its values, so the result
-    never captures and conclusion_of commutes with the substitution.
+    Every Poly field is rewritten under sym -> value.  Semiprime bounds are
+    renamed to symbols fresh for the witness and the value whenever the
+    substitution touches them or could capture a symbol of its values, so the
+    result never captures and conclusion_of commutes with the substitution.
     The node count of the tree unfolding is preserved.
     """
     if not sym.is_schematic:
         raise WitnessError("only schematic symbols can be substituted in a witness")
     builder = DagBuilder(dag.setting, dag.generators, max_nodes)
-    root = _subst_node(dag, dag.root, {sym: value}, builder, {})
+    taken = dict.fromkeys(dag_symbols(dag) | value.symbols())
+    root = _subst_node(dag, dag.root, {sym: value}, builder, {}, taken)
     return builder.build(root)
 
 
@@ -386,6 +409,7 @@ def _subst_node(
     env: Mapping[Symbol, Poly],
     builder: DagBuilder,
     memo: dict,
+    taken: dict,
 ) -> int:
     key = (node_id, frozenset(env.items()))
     hit = memo.get(key)
@@ -398,14 +422,14 @@ def _subst_node(
         shadowed = bound in env
         captured = any(image.mentions(bound) for image in env.values())
         if shadowed or captured:
-            fresh = fresh_schematic(bound.name)
+            fresh = fresh_schematic(bound.name, taken)
             inner_env = {**env, bound: Poly.symbol(fresh)}
             bound = fresh
-        premise = _subst_node(dag, node.premise, inner_env, builder, memo)
+        premise = _subst_node(dag, node.premise, inner_env, builder, memo, taken)
         out = builder.semiprime(bound, premise, node.conclusion.substitute(inner_env))
     else:
         out = builder.add_node(map_fields(node, {
-            REF: lambda ref: _subst_node(dag, ref, env, builder, memo),
+            REF: lambda ref: _subst_node(dag, ref, env, builder, memo, taken),
             POLY: lambda poly: poly.substitute(env),
         }))
     memo[key] = out

@@ -1,15 +1,14 @@
 """Regenerate the golden certificates.
 
-Run from the repository root in a fresh interpreter (the checkout's
-``src/`` is used when no ``nilcert`` is importable)::
+Run from the repository root (the checkout's ``src/`` is used when no
+``nilcert`` is importable)::
 
     python3 tests/golden/regen.py            # rewrite the three files
     python3 tests/golden/regen.py --check    # write nothing; exit 1 if any differs
 
-A fresh interpreter matters for intersect_sqrt.cert.json: its schematic
-uids come from a process-global counter, so regenerating after other
-library calls would shift them.  The stored bytes are what a clean run
-produces.
+The same calls give the same bytes in any process: a schematic uid
+(intersect_sqrt.cert.json's bound ``z#0``) is the least one its inputs
+leave free, whatever ran before.
 """
 
 from __future__ import annotations

@@ -30,7 +30,6 @@ from nilcert import (
     check_certificate,
     dag_from_certificate,
     deserialize,
-    fresh_schematic,
     nil_product,
     serialize,
 )
@@ -49,7 +48,7 @@ def small_cert() -> Certificate:
 
 
 def sqrt_cert() -> Certificate:
-    z = fresh_schematic("z")
+    z = Symbol.decode("z#0")
     b = DagBuilder(SQRT, GeneratorSet((x,), [(x, y)]))
     fam = b.intro_family(0, y + Poly.one())
     prem = b.mult(x * Poly.symbol(z), b.intro(0), Poly.one())
@@ -279,22 +278,6 @@ def test_repeated_bad_symbols_are_blamed_at_their_first_path():
         deserialize(json.dumps(obj).encode())
 
 
-def test_a_repeated_spelling_still_reserves_its_uid():
-    top = fresh_schematic("z").uid + 10_000
-    obj = json.loads(serialize(small_cert()))
-    obj["claim"] = [["1", ["x", f"z#{top}"]], ["1", [f"z#{top}"]], ["1", [f"z#{top - 1}"]]]
-    deserialize(json.dumps(obj).encode())
-    assert fresh_schematic("z").uid > top
-
-
-def test_reading_a_schematic_free_certificate_draws_no_uid():
-    data = serialize(small_cert())
-    before = fresh_schematic("z").uid
-    for _ in range(3):
-        deserialize(data)
-    assert fresh_schematic("z").uid == before + 1
-
-
 def every_site_cert() -> dict:
     """A well-shaped certificate (not a valid derivation) with every
     polynomial site.  Each site holds the same two terms, so past the
@@ -393,16 +376,6 @@ def test_deserialize_keeps_semantic_problems_for_the_checker():
     obj = json.loads(serialize(small_cert()))
     obj["claim"] = [["5", []]]
     deserialize(json.dumps(obj).encode())
-
-
-def test_fresh_uids_never_collide_with_loaded_certificates():
-    cert = sqrt_cert()
-    data = serialize(cert)
-    loaded = deserialize(data)
-    bounds = [n.bound for n in loaded.nodes if type(n).__name__ == "Semiprime"]
-    assert bounds
-    newer = fresh_schematic(bounds[0].name)
-    assert newer.uid > max(n.uid for n in bounds)
 
 
 # -- bridges ---------------------------------------------------------------
@@ -523,7 +496,7 @@ def test_dag_from_certificate_matches_a_readmitted_reference(tmp_path):
             dag_from_certificate(cert, len(want.nodes) - 1)
 
     # the checker accepts a never-bound schematic generator; a DAG cannot hold one
-    q = Poly.symbol(fresh_schematic("q"))
+    q = Poly.symbol(Symbol.decode("q#0"))
     cert = Certificate("sqrt", ("x",), GeneratorSet((q,)), q, (Intro(0),), 0)
     assert check_certificate(cert).ok
     with pytest.raises(WitnessError, match="schematic symbol"):
@@ -596,7 +569,7 @@ def test_every_node_key_is_blamed_at_its_own_path():
 
 
 def test_one_node_of_each_kind_round_trips():
-    z = fresh_schematic("z")
+    z = Symbol.decode("z#0")
     nodes = (Intro(0), IntroFamily(0, x - y), Zero(), Add(0, 2), Mult(x, 3, y * y),
              Red(4, x * y), Semiprime(z, 5, 2 * y))
     assert {type(node) for node in nodes} == set(typing.get_args(Node))

@@ -14,10 +14,10 @@ from nilcert import (
     NIL,
     Poly,
     SQRT,
+    Symbol,
     base_symbol,
     certificate_from_dag,
     check_certificate,
-    fresh_schematic,
 )
 from nilcert.checker import (
     BAD_REF,
@@ -46,7 +46,7 @@ def nil_cert() -> Certificate:
 
 
 def sqrt_cert() -> Certificate:
-    z = fresh_schematic("z")
+    z = Symbol.decode("z#0")
     b = DagBuilder(SQRT, GeneratorSet((x,), [(x, y)]))
     fam = b.intro_family(0, one)
     prem = b.mult(x * Poly.symbol(z), b.intro(0), one)
@@ -168,7 +168,7 @@ def test_red_square_mismatch():
 
 
 def test_semiprime_shape():
-    z = fresh_schematic("z")
+    z = Symbol.decode("z#0")
     zp = Poly.symbol(z)
     gens = GeneratorSet((x,))
     good_prem = [Intro(0), Mult(x * zp, 0, one)]  # x*z*x
@@ -184,7 +184,7 @@ def test_semiprime_shape():
 
 def test_semiprime_capture_in_conclusion():
     # premise (z*x)*z*(z*x) built without builder help: Mult(z, x, z*z*x)
-    z = fresh_schematic("z")
+    z = Symbol.decode("z#0")
     zp = Poly.symbol(z)
     nodes = [Intro(0), Mult(zp, 0, zp * zp * x), Semiprime(z, 1, zp * x)]
     verdict = verdict_of(raw("sqrt", GeneratorSet((x,)), nodes, zp * x, 2))
@@ -193,7 +193,7 @@ def test_semiprime_capture_in_conclusion():
 
 
 def test_semiprime_capture_in_generators():
-    z = fresh_schematic("z")
+    z = Symbol.decode("z#0")
     zp = Poly.symbol(z)
     gens = GeneratorSet((x, zp))  # the second generator mentions the bound
     nodes = [Intro(0), Mult(x * zp, 0, one), Semiprime(z, 1, x)]
@@ -204,7 +204,7 @@ def test_semiprime_capture_in_generators():
 
 def test_never_bound_schematic_generator_is_accepted():
     # a schematic generator nobody binds acts as one more indeterminate
-    q = Poly.symbol(fresh_schematic("q"))
+    q = Poly.symbol(Symbol.decode("q#0"))
     verdict = verdict_of(raw("sqrt", GeneratorSet((q,)), [Intro(0)], q, 0))
     assert verdict.ok
 

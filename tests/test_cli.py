@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 
@@ -25,9 +26,13 @@ from nilcert import (
     NIL,
     Poly,
     SQRT,
+    Symbol,
     base_symbol,
     certificate_from_dag,
+    deserialize,
     serialize,
+    sqrt_intersect,
+    xn_demo,
 )
 
 x, y, z = (Poly.symbol(base_symbol(n)) for n in "xyz")
@@ -172,13 +177,28 @@ def test_golden_checker_runs_from_a_checkout_without_pythonpath():
     assert result.stdout.count("unchanged") == 3
 
 
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
 def test_golden_files_regenerate_in_a_fresh_interpreter(tmp_path):
-    # intersect_sqrt's schematic uids depend on the process's history, so
-    # only a fresh interpreter reproduces the stored bytes
-    regen = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "regen.py")
-    result = python(regen, "--check", cwd=tmp_path)
+    # the script by absolute path from another directory, as a user runs it
+    result = python(os.path.join(GOLDEN, "regen.py"), "--check", cwd=tmp_path)
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.count("unchanged") == 3
+
+
+def test_golden_intersect_bytes_hold_after_other_library_calls():
+    # no state a load or an earlier call leaves behind moves a later call's uids
+    z5 = Poly.symbol(Symbol.decode("z#5"))
+    b = DagBuilder(SQRT, GeneratorSet((x,)))
+    loaded = deserialize(serialize(certificate_from_dag(b.build(b.mult(z5, b.intro(0), one)))))
+    assert Symbol.decode("z#5") in loaded.claim.symbols()
+    xn_demo(2)
+    pb, qb = DagBuilder(SQRT, GeneratorSet((x,))), DagBuilder(SQRT, GeneratorSet((y,)))
+    sqrt_intersect(pb.build(pb.mult(y, pb.intro(0), y)), qb.build(qb.mult(y * x, qb.intro(0), one)))
+    example = runpy.run_path(os.path.join(GOLDEN, "regen.py"))["sqrt_intersect_example"]
+    with open(os.path.join(GOLDEN, "intersect_sqrt.cert.json"), "rb") as handle:
+        assert example() == handle.read()
 
 
 def test_usage_errors():
@@ -308,6 +328,18 @@ def test_product_sqrt_default_middle_is_schematic_and_reproducible(tmp_path):
     assert (tmp_path / "a" / "product.cert.json").read_bytes() == (
         tmp_path / "b" / "product.cert.json"
     ).read_bytes()
+
+
+def test_product_default_middle_avoids_the_inputs_uids(tmp_path):
+    (tmp_path / "prob.txt").write_text(SQRT_PROBLEM)
+    z0, z2 = (Poly.symbol(Symbol.decode(f"z#{uid}")) for uid in (0, 2))
+    write_product_cert(tmp_path / "p.json", SQRT, (x,), z0, z2)
+    write_intro_cert(tmp_path / "q.json", SQRT, (y,), symbols=("x", "y"))
+    result = run("product", "prob.txt", "p.json", "q.json", cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    obj = json.loads((tmp_path / "product.cert.json").read_bytes())
+    assert obj["claim"] == [["1", ["z#0", "x", "z#2", "z#1", "y"]]]
+    assert run("check", "product.cert.json", cwd=tmp_path).returncode == 0
 
 
 def test_product_rejects_mismatched_generators(tmp_path):

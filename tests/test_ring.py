@@ -89,14 +89,14 @@ def test_commutator_ignores_central_shifts():
 
 
 def test_substitute_single_slot():
-    z = fresh_schematic("z")
+    z = Symbol.decode("z#0")
     p = x * Poly.symbol(z) * x
     assert substitute(p, {z: y}) == x * y * x
     assert substitute(p, {z: Poly.zero()}).is_zero
 
 
 def test_substitute_absent_symbol_is_identity():
-    z = fresh_schematic("z")
+    z = Symbol.decode("z#0")
     p = x * y - y * x
     assert substitute(p, {z: Poly.constant(7)}) is p
 
@@ -110,7 +110,7 @@ def test_substitute_kills_x_cubed_minus_x_at_units():
 
 def test_substitute_is_a_homomorphism():
     rng = random.Random(11)
-    z = fresh_schematic("z")
+    z = Symbol.decode("z#0")
     zp = Poly.symbol(z)
     for _ in range(50):
         p = rand_poly(rng) + zp * rand_poly(rng, max_terms=2)
@@ -163,7 +163,7 @@ def test_multiplying_by_zero_or_one_returns_the_other_side():
 
 
 def test_terms_and_items_give_words_as_symbol_tuples():
-    z = fresh_schematic("z")
+    z = Symbol.decode("z#0")
     p = 3 * x * Poly.symbol(z) * y - one
     expected = {(base_symbol("x"), z, base_symbol("y")): 3, (): -1}
     assert p.terms == expected
@@ -175,7 +175,7 @@ def test_terms_and_items_give_words_as_symbol_tuples():
 
 
 def test_pickled_polys_carry_symbols_not_codes():
-    z = fresh_schematic("z")
+    z = Symbol.decode("z#0")
     p = 2 * x * Poly.symbol(z) - y
     _, args = p.__reduce__()
     assert args == ({(base_symbol("x"), z): 2, (base_symbol("y"),): -1},)
@@ -211,7 +211,7 @@ def test_symbol_table_refuses_to_pass_the_last_code_point(monkeypatch):
     # the real limit is U+10FFFF; a lowered one stands in for it
     monkeypatch.setattr(ring, "_CODE_LIMIT", len(ring._symbols))
     with pytest.raises(OverflowError, match="symbol table full"):
-        Poly.symbol(fresh_schematic("z"))
+        Poly.symbol(fresh_schematic("z", dict.fromkeys(ring._symbols)))  # a new symbol
     assert x * y - y * x == commutator(x, y)
 
 
@@ -220,10 +220,11 @@ def test_concurrent_new_symbols_decode_to_themselves():
     errors: list[BaseException] = []
     deadline = time.monotonic() + 5.0
 
-    def work(out: list[Symbol]) -> None:
+    def work(out: list[Symbol], i: int) -> None:
+        taken: dict = {}  # the names are this thread's own, so each draw is a new symbol
         try:
             while len(out) < 400 and time.monotonic() < deadline:
-                a, b = fresh_schematic("t"), fresh_schematic("u")
+                a, b = fresh_schematic(f"t{i}", taken), fresh_schematic(f"u{i}", taken)
                 p = Poly.symbol(a) * (x + Poly.symbol(b))
                 assert p.terms == {(a, base_symbol("x")): 1, (a, b): 1}
                 out.extend((a, b))
@@ -233,7 +234,7 @@ def test_concurrent_new_symbols_decode_to_themselves():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work, args=(out,)) for out in made]
+        threads = [threading.Thread(target=work, args=(out, i)) for i, out in enumerate(made)]
         for t in threads:
             t.start()
         for t in threads:
@@ -305,7 +306,8 @@ def test_format_is_stable_under_reordering():
 def test_symbol_identity_rules():
     assert base_symbol("x") == base_symbol("x")
     assert base_symbol("x") != base_symbol("y")
-    a, b = fresh_schematic("z"), fresh_schematic("z")
+    taken: dict = {}
+    a, b = fresh_schematic("z", taken), fresh_schematic("z", taken)
     assert a != b
     assert a == a
     assert len({a, b, base_symbol("z")}) == 3
@@ -315,10 +317,19 @@ def test_symbol_identity_rules():
     assert len({Symbol("z", SCHEMATIC, 0), Symbol("w", SCHEMATIC, 0)}) == 2
 
 
+def test_fresh_schematic_takes_the_least_uid_not_taken():
+    taken = dict.fromkeys([Symbol.decode("z#0"), Symbol.decode("z#2"), base_symbol("z")])
+    drawn = [fresh_schematic("z", taken) for _ in range(3)] + [fresh_schematic("w", taken)]
+    assert [sym.encode() for sym in drawn] == ["z#1", "z#3", "z#4", "w#0"]
+    assert all(sym in taken for sym in drawn)
+    # the same draw against the same symbols spells the same name, in any process
+    assert fresh_schematic("z", dict.fromkeys([Symbol.decode("z#0")])) is drawn[0]
+
+
 def test_symbol_wire_round_trip():
     s = base_symbol("alpha_3")
     assert Symbol.decode(s.encode()) == s
-    z = fresh_schematic("z")
+    z = Symbol("z", SCHEMATIC, 12)
     assert Symbol.decode(z.encode()) == z
 
 
@@ -331,7 +342,7 @@ def test_symbol_name_validation():
 def test_symbols_are_interned():
     assert Symbol("x") is base_symbol("x")
     assert Symbol.decode("z#0") is Symbol("z", SCHEMATIC, 0)
-    for sym in (base_symbol("x"), fresh_schematic("z")):
+    for sym in (base_symbol("x"), Symbol.decode("z#3")):
         assert Symbol.decode(sym.encode()) is sym
         assert pickle.loads(pickle.dumps(sym)) is sym
         assert copy.copy(sym) is sym

@@ -17,19 +17,21 @@ from nilcert import (
     Permutation,
     Poly,
     SQRT,
+    Symbol,
     base_symbol,
     central_roots_witness,
     certificate_from_dag,
     check_certificate,
-    fresh_schematic,
     insert,
     nil_intersect,
     nil_product,
     permute,
     rotate,
+    serialize,
     sqrt_intersect,
     sqrt_product,
 )
+from nilcert import ring
 from nilcert.transforms import (
     ConclusionMismatchError,
     FactorizationMismatchError,
@@ -343,7 +345,7 @@ def test_sqrt_product_copies_existing_families():
 
 def test_sqrt_product_instantiates_semiprime_premises():
     # p proves x for every bound via x*w*x; the product must requantify
-    w = fresh_schematic("w")
+    w = Symbol.decode("w#0")
     pb = DagBuilder(SQRT, GeneratorSet((x,)))
     prem = pb.mult(x * Poly.symbol(w), pb.intro(0), one)
     p = pb.build(pb.semiprime(w, prem, x))
@@ -354,7 +356,7 @@ def test_sqrt_product_instantiates_semiprime_premises():
         assert out.conclusion == x * mid * y
         top = out.nodes[out.root]
         assert isinstance(top, Semiprime)
-        assert top.bound != w
+        assert top.bound == Symbol.decode("w#1")
         assert_valid(out)
     # mirrored: the Semiprime witness on the right
     out = sqrt_product(q, p, z)
@@ -367,7 +369,7 @@ def bound_reusing_witnesses(c, w):
     c + w*c whose w is also bound inside a Semiprime; and a Semiprime
     over a fresh v around one over w whose conclusion c*v mentions v, so
     a middle that mentions w meets w inside the scope of w."""
-    W, v = Poly.symbol(w), fresh_schematic("v")
+    W, v = Poly.symbol(w), Symbol.decode("v#0")
     V = Poly.symbol(v)
     b = DagBuilder(SQRT, GeneratorSet((c,)))
     inner = b.semiprime(w, b.mult(c * W, b.intro(0), one), c)
@@ -379,7 +381,7 @@ def bound_reusing_witnesses(c, w):
 
 
 def test_sqrt_product_reads_reused_bounds_without_capture():
-    w = fresh_schematic("w")
+    w = Symbol.decode("w#0")
     qb = DagBuilder(SQRT, GeneratorSet((y,)))
     for p in bound_reusing_witnesses(x, w):
         for q in (qb.build(qb.intro(0)), *bound_reusing_witnesses(y, w)):
@@ -391,7 +393,7 @@ def test_sqrt_product_reads_reused_bounds_without_capture():
 
 
 def test_sqrt_product_builds_in_one_arena(monkeypatch):
-    w = fresh_schematic("w")
+    w = Symbol.decode("w#0")
     p = bound_reusing_witnesses(x, w)[0]
     q = bound_reusing_witnesses(y, w)[0]
     arenas = []
@@ -424,6 +426,16 @@ def test_sqrt_product_random_pairs():
         assert_valid(out)
 
 
+def test_sqrt_product_gives_the_same_bytes_every_call():
+    rng = random.Random(20)
+    mid = z * Poly.symbol(Symbol.decode("w#0"))  # the name witgen gives its bounds
+    for _ in range(20):
+        p, q = witgen.sqrt_pair(rng, ("x", "y"), 3, force_semiprime=True)
+        first, second = (sqrt_product(p, q, mid) for _ in range(2))
+        assert serialize(certificate_from_dag(first)) == serialize(certificate_from_dag(second))
+        assert_valid(first)
+
+
 def test_sqrt_product_rejects_nil_inputs():
     p = product_witness("x")
     with pytest.raises(SettingMismatchError):
@@ -447,15 +459,26 @@ def test_sqrt_intersect():
         sqrt_intersect(p, qb.build(qb.intro(0)))
 
 
-def test_repeated_intersects_draw_fresh_bounds():
+def test_sqrt_intersect_bound_avoids_the_inputs_symbols():
+    # library-built inputs that mention z#0: the bound is the next free z
+    z0 = Poly.symbol(Symbol.decode("z#0"))
+    pb = DagBuilder(SQRT, GeneratorSet((x,)))
+    p = pb.build(pb.mult(z0, pb.intro(0), y))
+    qb = DagBuilder(SQRT, GeneratorSet((y,)))
+    q = qb.build(qb.mult(z0 * x, qb.intro(0), one))
+    out = sqrt_intersect(p, q)
+    assert out.nodes[out.root].bound == Symbol.decode("z#1")
+    assert_valid(out)
+
+
+def test_repeated_intersects_add_no_symbols():
     pb = DagBuilder(SQRT, GeneratorSet((x,)))
     p = pb.build(pb.mult(one, pb.intro(0), y))
     qb = DagBuilder(SQRT, GeneratorSet((y,)))
     q = qb.build(qb.mult(x, qb.intro(0), one))
     first = sqrt_intersect(p, q)
-    second = sqrt_intersect(p, q)
-    b1 = first.nodes[first.root].bound
-    b2 = second.nodes[second.root].bound
-    assert b1 != b2  # same construction twice never reuses a bound
-    for out in (first, second):
-        assert_valid(out)
+    size = len(ring._symbols)
+    for _ in range(1000):
+        assert sqrt_intersect(p, q) == first
+    assert len(ring._symbols) == size
+    assert_valid(first)

@@ -22,6 +22,7 @@ from nilcert import (
     Poly,
     ProofLog,
     ProofStep,
+    Symbol,
     Verdict,
     WitnessDag,
     WitnessError,
@@ -30,7 +31,6 @@ from nilcert import (
     check_certificate,
     conclusion_of,
     deserialize,
-    fresh_schematic,
     parse_problem,
     serialize,
     substitute_schematic,
@@ -87,7 +87,7 @@ def test_constructor_side_conditions():
         DagBuilder("radical", GENS)
     with pytest.raises(WitnessError, match="families require"):
         DagBuilder(NIL, GeneratorSet((x,), [(x, y)]))
-    z = fresh_schematic("z")
+    z = Symbol.decode("z#0")
     with pytest.raises(WitnessError, match="schematic symbol"):
         DagBuilder(NIL, GeneratorSet((x + Poly.symbol(z),)))
 
@@ -127,7 +127,7 @@ def test_red_accepts_exact_squares_only():
 
 def test_semiprime_shape_and_capture():
     s = DagBuilder(SQRT, GeneratorSet((x,)))
-    z = fresh_schematic("z")
+    z = Symbol.decode("z#0")
     zp = Poly.symbol(z)
     i = s.intro(0)
     good = s.mult(x * zp, i, Poly.one())  # x*z*x == c*z*c for c = x
@@ -181,7 +181,7 @@ def test_from_dag_resumes_in_place():
 
 
 def test_substitute_schematic_single_slot():
-    z = fresh_schematic("z")
+    z = Symbol.decode("z#0")
     b = DagBuilder(NIL, GENS)
     dag = b.build(b.mult(Poly.one(), b.intro(0), Poly.symbol(z)))
     out = substitute_schematic(dag, z, y)
@@ -202,14 +202,14 @@ def test_substitute_absent_symbol_preserves_structure():
     for _ in range(20):
         b = DagBuilder(NIL, GENS)
         dag = b.build(witgen.grow_nil(rng, b, ("x", "y"), 4))
-        out = substitute_schematic(dag, fresh_schematic("q"), y)
+        out = substitute_schematic(dag, Symbol.decode("q#0"), y)
         assert out.nodes == dag.nodes
         assert out.conclusion == dag.conclusion
 
 
 def test_substitution_commutes_with_conclusion():
     rng = random.Random(23)
-    z = fresh_schematic("z")
+    z = Symbol.decode("z#0")
     zp = Poly.symbol(z)
     names = ("x", "y")
     for trial in range(100):
@@ -227,8 +227,8 @@ def test_substitution_commutes_with_conclusion():
 def test_substitution_renames_bound_on_capture():
     # conclusion c = q*x with premise q*x*z*q*x = c*z*c
     s = DagBuilder(SQRT, GeneratorSet((x,)))
-    z = fresh_schematic("z")
-    q = fresh_schematic("q")
+    z = Symbol.decode("z#0")
+    q = Symbol.decode("q#0")
     zp, qp = Poly.symbol(z), Poly.symbol(q)
     prem = s.mult(qp * x * zp * qp, s.intro(0), Poly.one())
     root = s.semiprime(z, prem, qp * x)
@@ -239,13 +239,12 @@ def test_substitution_renames_bound_on_capture():
     out = substitute_schematic(dag, q, zp * y)
     assert out.conclusion == zp * y * x
     top = out.nodes[out.root]
-    assert top.bound != z
-    assert top.bound.is_schematic
+    assert top.bound == Symbol.decode("z#1")  # the least uid unused by the witness and z*y
 
     # substituting the bound itself only renames; conclusions are untouched
     out2 = substitute_schematic(dag, z, y)
     assert out2.conclusion == dag.conclusion
-    assert out2.nodes[out2.root].bound != z
+    assert out2.nodes[out2.root].bound == Symbol.decode("z#1")
 
 
 # -- the field table -------------------------------------------------------
@@ -253,7 +252,7 @@ def test_substitution_renames_bound_on_capture():
 
 def sample_fields(kind):
     """Distinct values for each field of a kind, by position and role."""
-    bound = fresh_schematic("t")
+    bound = Symbol.decode("t#0")
     return [
         {REF: 10 + i, INDEX: i, POLY: x ** (i + 1) + y, SYMBOL: bound}[role]
         for i, (_, role) in enumerate(FIELDS[kind])

@@ -20,6 +20,7 @@ from nilcert import (
     base_symbol,
     fresh_schematic,
 )
+from nilcert.witness import dag_symbols
 
 _MAX_CONCLUSION_TERMS = 60
 
@@ -127,13 +128,16 @@ def grow_sqrt(
             grow_sqrt(rng, builder, names, depth - 1),
             rand_poly(rng, names, max_terms=1),
         )
-    # A semiprime step: from n |- c, the premise c*z*n*1 concludes
-    # c*z*c with z fresh, so c joins the ideal for the bound z.
     inner = grow_sqrt(rng, builder, names, depth - 1)
-    if not _small(builder, inner):
-        return inner
+    return semiprime_over(builder, inner) if _small(builder, inner) else inner
+
+
+def semiprime_over(builder: DagBuilder, inner: int) -> int:
+    """A semiprime step: from n |- c, the premise c*w*n*1 concludes c*w*c,
+    so c joins the ideal for a bound w fresh for the witness grown so far
+    (so the bounds within one witness stay distinct)."""
     c = builder.conclusion(inner)
-    bound = fresh_schematic("w")
+    bound = fresh_schematic("w", dict.fromkeys(dag_symbols(builder.build(inner))))
     premise = builder.mult(c * Poly.symbol(bound), inner, Poly.one())
     return builder.semiprime(bound, premise, c)
 
@@ -170,9 +174,6 @@ def sqrt_pair(
         builder = DagBuilder(SQRT, GeneratorSet(common + (extra,), families))
         root = grow_sqrt(rng, builder, names, depth)
         if force_semiprime and _small(builder, root):
-            c = builder.conclusion(root)
-            bound = fresh_schematic("w")
-            premise = builder.mult(c * Poly.symbol(bound), root, Poly.one())
-            root = builder.semiprime(bound, premise, c)
+            root = semiprime_over(builder, root)
         pair.append(builder.build(root))
     return pair[0], pair[1]
