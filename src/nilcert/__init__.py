@@ -2,21 +2,25 @@
 and the smallest semiprime ideal sqrt U of the free noncommutative ring
 over the integers.
 
-The package splits into a small trusted kernel (ring arithmetic plus
-the certificate checker) and everything else: builders and transforms
-may be arbitrarily clever because their outputs are re-verified from
-scratch by the checker.
+The package splits into a small trusted kernel and everything else.
+The kernel is four modules: ``ring`` (arithmetic), ``record`` (value
+records), ``certificate`` (node kinds and the certificate reader and
+writer) and ``checker``; they import no other module of the package.
+Builders and transforms may be arbitrarily clever because their outputs
+are re-verified from scratch by the checker.
 """
 
-from nilcert.certio import (
+from nilcert.certificate import (
+    NIL,
+    SQRT,
     Certificate,
+    GeneratorSet,
     MalformedCertificateError,
     UnsupportedVersionError,
-    certificate_from_dag,
-    dag_from_certificate,
     deserialize,
     serialize,
 )
+from nilcert.certio import certificate_from_dag, dag_from_certificate
 from nilcert.checker import Verdict, check_certificate
 from nilcert.commutativity import (
     CentralConstants,
@@ -56,11 +60,8 @@ from nilcert.transforms import (
     sqrt_product,
 )
 from nilcert.witness import (
-    NIL,
-    SQRT,
     BudgetExceededError,
     DagBuilder,
-    GeneratorSet,
     WitnessDag,
     WitnessError,
     conclusion_of,

@@ -1,10 +1,11 @@
-"""The trusted kernel: re-verify a certificate from raw data.
+"""Re-verify a certificate from raw data.
 
-Everything here is deliberately independent of DagBuilder and the
-transform layer; it shares only ring arithmetic and the node field
-table (witness.FIELDS).  A certificate is accepted only if every node is
-re-verified from scratch, so transforms are free to be clever and
-wrong, because a bad output simply fails here.
+With ``ring``, ``record`` and ``certificate`` (node kinds, reader and
+writer) this module is the trusted kernel, and it imports nothing else
+of the package: DagBuilder and the transforms stay outside.  A
+certificate is accepted only if every node is re-verified from scratch,
+so transforms are free to be clever and wrong, because a bad output
+simply fails here.
 
 Reason codes, in the order the phases can report them:
 
@@ -12,7 +13,7 @@ Reason codes, in the order the phases can report them:
     GEN_INDEX              Intro/IntroFamily index out of range
     BAD_REF                reference or root outside the node array
     SEMIPRIME_SHAPE        bound not schematic, or premise != c*bound*c
-    CYCLE                  reference cycle (smallest node id on it)
+    CYCLE                  node waits on a reference cycle (smallest such id)
     RED_SQUARE_MISMATCH    Red premise is not the conclusion's square
     SEMIPRIME_CAPTURE      bound occurs in the conclusion or generators
     CLAIM_MISMATCH         claim differs from the root conclusion
@@ -28,14 +29,11 @@ conclusion of every node, so callers reuse this one evaluation.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
+from nilcert.certificate import (
+    REF, Add, Certificate, Intro, IntroFamily, Mult, Red, Semiprime, Zero, field_getters,
+)
 from nilcert.record import Record
 from nilcert.ring import Poly
-from nilcert.witness import REF, Add, Intro, IntroFamily, Mult, Red, Semiprime, Zero, field_getters
-
-if TYPE_CHECKING:  # certio imports this module
-    from nilcert.certio import Certificate
 
 __all__ = [
     "BAD_REF",
@@ -146,7 +144,7 @@ def check_certificate(cert: Certificate) -> Verdict:
                 ready.append(parent)
     if len(order) != n:
         stuck = min(i for i in range(n) if pending[i] > 0)
-        return _invalid(stuck, CYCLE, "node lies on a reference cycle")
+        return _invalid(stuck, CYCLE, "node waits on a reference cycle")
 
     # conclusions, children first
     concl: list[Poly] = [Poly.zero()] * n

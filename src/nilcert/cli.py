@@ -13,13 +13,8 @@ import functools
 import os
 import sys
 
-from nilcert.certio import (
-    Certificate,
-    certificate_from_dag,
-    dag_from_certificate,
-    deserialize,
-    serialize,
-)
+from nilcert.certificate import Certificate, GeneratorSet, deserialize, serialize
+from nilcert.certio import certificate_from_dag, dag_from_certificate
 from nilcert.checker import check_certificate
 from nilcert.commutativity import xn_demo
 from nilcert.lang import parse_poly, parse_problem
@@ -33,7 +28,7 @@ from nilcert.transforms import (
     sqrt_intersect,
     sqrt_product,
 )
-from nilcert.witness import DEFAULT_MAX_NODES, GeneratorSet, WitnessDag, WitnessError, dag_symbols
+from nilcert.witness import DEFAULT_MAX_NODES, WitnessDag, WitnessError, dag_symbols
 
 __all__ = ["main"]
 

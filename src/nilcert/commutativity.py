@@ -12,14 +12,9 @@ the proof log as explicitly flagged narrative steps.
 
 from __future__ import annotations
 
-from nilcert.certio import Certificate, certificate_from_dag
-from nilcert.checker import check_certificate
-from nilcert.lang import print_poly
-from nilcert.record import Record
-from nilcert.ring import Poly, Symbol, base_symbol
-from nilcert.witness import (
+from nilcert.certificate import (
     Add,
-    DagBuilder,
+    Certificate,
     GeneratorSet,
     Intro,
     IntroFamily,
@@ -27,9 +22,13 @@ from nilcert.witness import (
     NIL,
     Red,
     Semiprime,
-    WitnessDag,
-    WitnessError,
 )
+from nilcert.certio import certificate_from_dag
+from nilcert.checker import check_certificate
+from nilcert.lang import print_poly
+from nilcert.record import Record
+from nilcert.ring import Poly, Symbol, base_symbol
+from nilcert.witness import DagBuilder, WitnessDag, WitnessError
 from nilcert.transforms import nil_intersect
 
 __all__ = [

@@ -22,12 +22,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from nilcert.record import Record
-from nilcert.ring import Poly, Symbol, fresh_schematic
-from nilcert.witness import (
+from nilcert.certificate import (
     Add,
-    DEFAULT_MAX_NODES,
-    DagBuilder,
     GeneratorSet,
     Intro,
     IntroFamily,
@@ -36,10 +32,11 @@ from nilcert.witness import (
     Red,
     SQRT,
     Semiprime,
-    WitnessDag,
     Zero,
-    dag_symbols,
 )
+from nilcert.record import Record
+from nilcert.ring import Poly, Symbol, fresh_schematic
+from nilcert.witness import DEFAULT_MAX_NODES, DagBuilder, WitnessDag, dag_symbols
 
 __all__ = [
     "TransformError",

@@ -1,66 +1,49 @@
-"""Derivation DAGs for membership in the ideals Nil U and sqrt U.
+"""Building derivation DAGs for membership in the ideals Nil U and sqrt U.
 
-A witness is a DAG of constructor applications.  Node ids are dense
-integers, children always precede parents, and every node carries a
-conclusion, the ring element whose membership it derives:
-
-    Intro(i)                 the i-th generator element
-    IntroFamily(j, r)        left_j * r * right_j for the j-th family
-    Zero                     0
-    Add(l, r)                sum of the two child conclusions
-    Mult(z, n, w)            z * conclusion(n) * w
-    Red(n, c)                c, provided conclusion(n) = c*c  (nil only)
-    Semiprime(b, n, c)       c, provided conclusion(n) = c*b*c for a
-                             schematic b foreign to c and the
-                             generators  (sqrt only)
-
-Red and Semiprime store their conclusions because a premise does not
-determine them (s and -s share a square).  DagBuilder verifies each
-side condition at insertion time, so a complete WitnessDag is valid by
-construction; the separate checker module re-verifies serialized
-certificates from scratch without trusting any of this.
-
-FIELDS is where node structure lives: each kind's fields in constructor
-order, with roles.  Each kind is made from its entry; a node is the
-tuple of its field values followed by its kind, so it equals only nodes
-of the same kind.  Structural code reads FIELDS; code giving meaning
-names kinds.
+A witness is a DAG of the node kinds of ``nilcert.certificate``, where
+each kind's fields and the rule it stands for are listed.  Children
+always precede parents.  DagBuilder verifies each side condition at
+insertion time, so a complete WitnessDag is valid by construction; the
+checker re-verifies serialized certificates from scratch without
+trusting any of this.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Mapping
 
+from nilcert.certificate import (
+    NIL,
+    POLY,
+    REF,
+    SQRT,
+    SYMBOL,
+    Add,
+    GeneratorSet,
+    Intro,
+    IntroFamily,
+    Mult,
+    Node,
+    Red,
+    Semiprime,
+    Zero,
+    dag_polys,
+    field_getters,
+    map_fields,
+)
 from nilcert.record import Record
 from nilcert.ring import Poly, Symbol, fresh_schematic, symbols_of
 
 __all__ = [
-    "NIL",
-    "SQRT",
     "DEFAULT_MAX_NODES",
     "WitnessError",
     "BudgetExceededError",
-    "Intro",
-    "IntroFamily",
-    "Zero",
-    "Add",
-    "Mult",
-    "Red",
-    "Semiprime",
-    "Node",
-    "FIELDS",
-    "GeneratorSet",
     "WitnessDag",
     "DagBuilder",
     "conclusion_of",
-    "dag_polys",
     "dag_symbols",
     "substitute_schematic",
 ]
-
-NIL = "nil"
-SQRT = "sqrt"
 
 DEFAULT_MAX_NODES = 10**6
 
@@ -71,134 +54,6 @@ class WitnessError(Exception):
 
 class BudgetExceededError(WitnessError):
     """The node arena outgrew the configured limit."""
-
-
-# field roles: a node id, a generator or family index, ring data
-REF, INDEX, POLY, SYMBOL = "ref", "index", "poly", "symbol"
-FIELDS: dict[type, tuple[tuple[str, str], ...]] = {}  # filled by _kind below
-
-_new = tuple.__new__
-_NEW = (  # a constructor per arity, so the interpreter binds and counts the fields
-    lambda cls: _new(cls, (cls,)),
-    lambda cls, a: _new(cls, (a, cls)),
-    lambda cls, a, b: _new(cls, (a, b, cls)),
-    lambda cls, a, b, c: _new(cls, (a, b, c, cls)),
-)
-
-
-class _Node(Record):
-    """A node: its kind's FIELDS values, in order, then the kind itself.
-    Every DagBuilder lookup hashes and compares nodes; with the kind in
-    the tuple, tuple's own hash and equality tell kinds apart."""
-
-    __slots__ = ()
-    __eq__, __ne__, __hash__ = tuple.__eq__, tuple.__ne__, tuple.__hash__
-    _format = ""  # the repr, e.g. "Add(left=%r, right=%r)"
-
-    def __getnewargs__(self) -> tuple:
-        return self[:-1]
-
-    def __repr__(self) -> str:
-        return self._format % self[:-1]
-
-
-def _kind(name: str, *fields: tuple[str, str]) -> type:
-    """The node kind with these (name, role) fields, entered in FIELDS."""
-    names = tuple(field for field, _ in fields)
-    kind = type(name, (_Node,), {
-        "__slots__": (), "_format": f"{name}({', '.join(field + '=%r' for field in names)})",
-    })
-    kind.__new__ = _NEW[len(names)]
-    kind._set_fields(names)
-    FIELDS[kind] = fields
-    return kind
-
-
-Intro = _kind("Intro", ("gen_index", INDEX))
-IntroFamily = _kind("IntroFamily", ("family_index", INDEX), ("instance", POLY))
-Zero = _kind("Zero")
-Add = _kind("Add", ("left", REF), ("right", REF))
-Mult = _kind("Mult", ("left", POLY), ("inner", REF), ("right", POLY))
-Red = _kind("Red", ("premise", REF), ("conclusion", POLY))
-Semiprime = _kind("Semiprime", ("bound", SYMBOL), ("premise", REF), ("conclusion", POLY))
-
-Node = Union[Intro, IntroFamily, Zero, Add, Mult, Red, Semiprime]
-
-# each kind's field positions by role
-_AT = {
-    kind: {role: [i for i, (_, r) in enumerate(fields) if r == role] for _, role in fields}
-    for kind, fields in FIELDS.items()
-}
-
-
-def field_getters(role: str) -> dict[type, Callable[[Node], tuple]]:
-    """For each kind, a function giving its ``role`` fields as a tuple."""
-    getters = {}
-    for kind, positions in _AT.items():
-        at = positions.get(role, [])
-        if len(at) > 1:
-            getters[kind] = itemgetter(*at)
-        else:  # a slice keeps one position, or none, as a tuple
-            getters[kind] = itemgetter(slice(at[0], at[0] + 1) if at else slice(0))
-    return getters
-
-
-def map_fields(node: Node, fns: Mapping[str, Callable]) -> Node:
-    """``node`` with ``fns[role]`` applied to each field of that role (role
-    by role in the order of ``fns``, fields in order); the node itself when
-    it has no field of those roles."""
-    values = None
-    at = _AT[type(node)]
-    for role, fn in fns.items():
-        for i in at.get(role, ()):
-            if values is None:
-                values = list(node)  # the fields, then the kind
-            values[i] = fn(values[i])
-    return node if values is None else _new(type(node), values)
-
-
-class GeneratorSet:
-    """The generating data of an ideal: finitely many elements plus,
-    in the sqrt setting, families {left*r*right : r in the ring}."""
-
-    __slots__ = ("elements", "families")
-
-    def __init__(
-        self,
-        elements: Iterable[Poly] = (),
-        families: Iterable[tuple[Poly, Poly]] = (),
-    ):
-        self.elements = tuple(elements)
-        self.families = tuple((l, r) for l, r in families)
-
-    def validate_concrete(self) -> None:
-        """Reject schematic symbols; generators describe fixed elements."""
-        for poly in self.all_polys():
-            for sym in poly.symbols():
-                if sym.is_schematic:
-                    raise WitnessError(
-                        f"schematic symbol {sym.encode()} in generator set"
-                    )
-
-    def all_polys(self) -> Iterable[Poly]:
-        yield from self.elements
-        for left, right in self.families:
-            yield left
-            yield right
-
-    def mentions(self, sym: Symbol) -> bool:
-        return any(p.mentions(sym) for p in self.all_polys())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GeneratorSet):
-            return NotImplemented
-        return self.elements == other.elements and self.families == other.families
-
-    def __hash__(self) -> int:
-        return hash((self.elements, self.families))
-
-    def __repr__(self) -> str:
-        return f"GeneratorSet({list(self.elements)!r}, {list(self.families)!r})"
 
 
 class WitnessDag(Record):
@@ -253,7 +108,10 @@ class DagBuilder:
             raise WitnessError(f"unknown setting {setting!r}")
         if setting == NIL and generators.families:
             raise WitnessError("families require the sqrt setting")
-        generators.validate_concrete()
+        for poly in generators.all_polys():  # generators describe fixed elements
+            for sym in poly.symbols():
+                if sym.is_schematic:
+                    raise WitnessError(f"schematic symbol {sym.encode()} in generator set")
         if max_nodes < 1:
             raise BudgetExceededError("max_nodes must be positive")
         self.setting = setting
@@ -361,16 +219,7 @@ class DagBuilder:
         )
 
 
-_POLYS = field_getters(POLY)
 _SYMBOLS = field_getters(SYMBOL)
-
-
-def dag_polys(generators: GeneratorSet, claim: Poly, nodes: Iterable[Node]) -> list[Poly]:
-    """Every polynomial of a certificate or DAG, shared ones repeated."""
-    polys = [*generators.all_polys(), claim]
-    for node in nodes:
-        polys += _POLYS[type(node)](node)
-    return polys
 
 
 def dag_symbols(*dags: WitnessDag) -> set[Symbol]:

@@ -49,7 +49,7 @@ from nilcert.checker import (
     SEMIPRIME_SHAPE,
     WRONG_SETTING,
 )
-from nilcert.witness import Intro, Mult, Semiprime
+from nilcert.certificate import Intro, Mult, Semiprime
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 

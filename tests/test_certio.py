@@ -34,7 +34,7 @@ from nilcert import (
     serialize,
 )
 from nilcert.ring import SCHEMATIC, Symbol, sorted_terms
-from nilcert.witness import FIELDS, Add, Intro, IntroFamily, Mult, Node, Red, Semiprime, Zero
+from nilcert.certificate import FIELDS, Add, Intro, IntroFamily, Mult, Node, Red, Semiprime, Zero
 
 x = Poly.symbol(base_symbol("x"))
 y = Poly.symbol(base_symbol("y"))

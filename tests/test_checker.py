@@ -29,7 +29,7 @@ from nilcert.checker import (
     SEMIPRIME_SHAPE,
     WRONG_SETTING,
 )
-from nilcert.witness import Add, Intro, IntroFamily, Mult, Red, Semiprime, Zero
+from nilcert.certificate import Add, Intro, IntroFamily, Mult, Red, Semiprime, Zero
 
 x = Poly.symbol(base_symbol("x"))
 y = Poly.symbol(base_symbol("y"))
@@ -152,6 +152,11 @@ def test_cycle():
     nodes = [Intro(0), Mult(one, 2, one), Mult(one, 1, one)]
     verdict = verdict_of(raw("nil", gens, nodes, x, 0))
     assert (verdict.reason, verdict.node) == (CYCLE, 1)
+    # node 0 only waits on the cycle 2 -> 2; it is still the smallest stuck id
+    nodes = [Mult(one, 2, one), Intro(0), Add(2, 2)]
+    verdict = verdict_of(raw("nil", gens, nodes, x, 0))
+    assert (verdict.reason, verdict.node) == (CYCLE, 0)
+    assert verdict.detail == "node waits on a reference cycle"
 
 
 def test_red_square_mismatch():

@@ -25,7 +25,7 @@ from nilcert import (
 )
 from nilcert import ring
 from nilcert.ring import SCHEMATIC, sorted_terms
-from nilcert.witness import Mult
+from nilcert.certificate import Mult
 
 x = Poly.symbol(base_symbol("x"))
 y = Poly.symbol(base_symbol("y"))

@@ -39,7 +39,7 @@ from nilcert.transforms import (
     SettingMismatchError,
     TransformError,
 )
-from nilcert.witness import Semiprime
+from nilcert.certificate import Semiprime
 
 x, y, z = (Poly.symbol(base_symbol(n)) for n in "xyz")
 one = Poly.one()

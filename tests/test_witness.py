@@ -35,8 +35,9 @@ from nilcert import (
     serialize,
     substitute_schematic,
 )
-from nilcert.certio import FORMAT_VERSION
-from nilcert.witness import FIELDS, INDEX, POLY, REF, SYMBOL, Add, Intro, IntroFamily, Node, Red
+from nilcert.certificate import (
+    FIELDS, FORMAT_VERSION, INDEX, POLY, REF, SYMBOL, Add, Intro, IntroFamily, Node, Red,
+)
 
 x = Poly.symbol(base_symbol("x"))
 y = Poly.symbol(base_symbol("y"))
