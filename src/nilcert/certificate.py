@@ -177,19 +177,14 @@ def map_fields(node: Node, fns: Mapping[str, Callable]) -> Node:
 # -- certificates -----------------------------------------------------
 
 
-class GeneratorSet:
+class GeneratorSet(Record):
     """The generating data of an ideal: finitely many elements plus,
     in the sqrt setting, families {left*r*right : r in the ring}."""
 
-    __slots__ = ("elements", "families")
+    __slots__ = ()
 
-    def __init__(
-        self,
-        elements: Iterable[Poly] = (),
-        families: Iterable[tuple[Poly, Poly]] = (),
-    ):
-        self.elements = tuple(elements)
-        self.families = tuple((l, r) for l, r in families)
+    def __new__(cls, elements: Iterable[Poly] = (), families: Iterable[tuple[Poly, Poly]] = ()):
+        return tuple.__new__(cls, (tuple(elements), tuple((l, r) for l, r in families)))
 
     def all_polys(self) -> Iterable[Poly]:
         yield from self.elements
@@ -199,17 +194,6 @@ class GeneratorSet:
 
     def mentions(self, sym: Symbol) -> bool:
         return any(p.mentions(sym) for p in self.all_polys())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GeneratorSet):
-            return NotImplemented
-        return self.elements == other.elements and self.families == other.families
-
-    def __hash__(self) -> int:
-        return hash((self.elements, self.families))
-
-    def __repr__(self) -> str:
-        return f"GeneratorSet({list(self.elements)!r}, {list(self.families)!r})"
 
 
 class MalformedCertificateError(ValueError):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from nilcert.certificate import REF, Certificate, deserialize, map_fields, serialize
 from nilcert.checker import check_certificate
-from nilcert.ring import Poly
 from nilcert.witness import DEFAULT_MAX_NODES, DagBuilder, WitnessDag, WitnessError, dag_symbols
 
 __all__ = [
@@ -24,22 +23,14 @@ __all__ = [
 ]
 
 
-def certificate_from_dag(
-    dag: WitnessDag,
-    symbols: tuple[str, ...] | None = None,
-    claim: Poly | None = None,
-) -> Certificate:
+def certificate_from_dag(dag: WitnessDag, symbols: tuple[str, ...] | None = None) -> Certificate:
     """Package a built witness for serialization.
 
-    The claim defaults to the root conclusion and must equal it.  The
-    symbol list fixes the serialization order; base symbols in use but
-    missing from it are appended in name order, so the output always
-    declares everything it mentions and can be read back.
+    The claim is the root conclusion.  The symbol list fixes the
+    serialization order; base symbols in use but missing from it are
+    appended in name order, so the output always declares everything
+    it mentions and can be read back.
     """
-    if claim is None:
-        claim = dag.conclusion
-    elif claim != dag.conclusion:
-        raise WitnessError("claim differs from the root conclusion")
     seen = {s.name for s in dag_symbols(dag) if not s.is_schematic}
     if symbols is None:
         symbols = tuple(sorted(seen))
@@ -49,7 +40,7 @@ def certificate_from_dag(
         setting=dag.setting,
         symbols=symbols,
         generators=dag.generators,
-        claim=claim,
+        claim=dag.conclusion,
         nodes=dag.nodes,
         root=dag.root,
     )

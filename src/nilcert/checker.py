@@ -30,7 +30,7 @@ conclusion of every node, so callers reuse this one evaluation.
 from __future__ import annotations
 
 from nilcert.certificate import (
-    REF, Add, Certificate, Intro, IntroFamily, Mult, Red, Semiprime, Zero, field_getters,
+    NIL, REF, SQRT, Add, Certificate, Intro, IntroFamily, Mult, Red, Semiprime, Zero, field_getters,
 )
 from nilcert.record import Record
 from nilcert.ring import Poly
@@ -95,9 +95,9 @@ def check_certificate(cert: Certificate) -> Verdict:
     setting = cert.setting
     gens = cert.generators
 
-    if setting not in ("nil", "sqrt"):
+    if setting not in (NIL, SQRT):
         return _invalid(None, WRONG_SETTING, f"unknown setting {setting!r}")
-    if setting == "nil" and gens.families:
+    if setting == NIL and gens.families:
         return _invalid(None, WRONG_SETTING, "families present in the nil setting")
 
     # structural pass: kinds vs setting, index ranges, reference ranges
@@ -109,13 +109,13 @@ def check_certificate(cert: Certificate) -> Verdict:
             if not 0 <= node.gen_index < len(gens.elements):
                 return _invalid(i, GEN_INDEX, f"generator index {node.gen_index}")
         elif kind is IntroFamily:
-            if setting != "sqrt":
+            if setting != SQRT:
                 return _invalid(i, WRONG_SETTING, "IntroFamily outside sqrt setting")
             if not 0 <= node.family_index < len(gens.families):
                 return _invalid(i, GEN_INDEX, f"family index {node.family_index}")
-        elif kind is Red and setting != "nil":
+        elif kind is Red and setting != NIL:
             return _invalid(i, WRONG_SETTING, "Red outside nil setting")
-        elif kind is Semiprime and setting != "sqrt":
+        elif kind is Semiprime and setting != SQRT:
             return _invalid(i, WRONG_SETTING, "Semiprime outside sqrt setting")
         for ref in _CHILDREN[kind](node):
             if not 0 <= ref < n:

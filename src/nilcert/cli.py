@@ -13,22 +13,23 @@ import functools
 import os
 import sys
 
-from nilcert.certificate import Certificate, GeneratorSet, deserialize, serialize
+from nilcert.certificate import NIL, SQRT, Certificate, GeneratorSet, deserialize, serialize
 from nilcert.certio import certificate_from_dag, dag_from_certificate
 from nilcert.checker import check_certificate
 from nilcert.commutativity import xn_demo
 from nilcert.lang import parse_poly, parse_problem
-from nilcert.ring import _NUMERAL, Poly, fresh_schematic
+from nilcert.ring import _NUMERAL, Poly
 from nilcert.transforms import (
     Permutation,
     TransformError,
+    fresh_middle,
     nil_intersect,
     nil_product,
     permute,
     sqrt_intersect,
     sqrt_product,
 )
-from nilcert.witness import DEFAULT_MAX_NODES, WitnessDag, WitnessError, dag_symbols
+from nilcert.witness import DEFAULT_MAX_NODES, WitnessDag, WitnessError
 
 __all__ = ["main"]
 
@@ -107,7 +108,7 @@ def _cmd_demo(args, max_nodes: int) -> int:
 
 
 def _split_product_generators(problem):
-    gens = problem.generator_polys()
+    gens = problem.generators
     if len(gens) < 2:
         raise _InvalidInput(
             "problem must list the common generators followed by a and b"
@@ -129,17 +130,16 @@ def _cmd_product(args, max_nodes: int) -> int:
         problem = parse_problem(handle.read())
     setting = _require_setting(args.setting, problem.setting)
     common, a, b = _split_product_generators(problem)
-    families = problem.family_polys()
     p_cert, p_dag = _load_dag(args.p_certificate, max_nodes)
     q_cert, q_dag = _load_dag(args.q_certificate, max_nodes)
     _require_setting(setting, p_cert.setting, q_cert.setting)
-    expect_p = GeneratorSet(common + (a,), families)
-    expect_q = GeneratorSet(common + (b,), families)
+    expect_p = GeneratorSet(common + (a,), problem.families)
+    expect_q = GeneratorSet(common + (b,), problem.families)
     if p_cert.generators != expect_p:
         raise _InvalidInput(f"{args.p_certificate}: generators do not match the problem's U, a")
     if q_cert.generators != expect_q:
         raise _InvalidInput(f"{args.q_certificate}: generators do not match the problem's U, b")
-    if setting == "nil":
+    if setting == NIL:
         if args.m is not None:
             raise _InvalidInput("--m only applies to the sqrt setting")
         out_dag = nil_product(p_dag, q_dag, max_nodes)
@@ -147,7 +147,7 @@ def _cmd_product(args, max_nodes: int) -> int:
         if args.m is not None:
             middle = parse_poly(args.m, problem.symbols)
         else:
-            middle = Poly.symbol(fresh_schematic("z", dict.fromkeys(dag_symbols(p_dag, q_dag))))
+            middle = Poly.symbol(fresh_middle(p_dag, q_dag))
         out_dag = sqrt_product(p_dag, q_dag, middle, max_nodes)
     out_cert = certificate_from_dag(out_dag, symbols=problem.symbols)
     _write_cert(out_cert, args.out or "product.cert.json")
@@ -175,9 +175,7 @@ def _cmd_intersect(args, max_nodes: int) -> int:
     p_cert, p_dag = _load_dag(args.p_certificate, max_nodes)
     q_cert, q_dag = _load_dag(args.q_certificate, max_nodes)
     setting = _require_setting(args.setting, p_cert.setting, q_cert.setting)
-    if p_cert.claim != q_cert.claim:
-        raise _InvalidInput("the two certificates claim different elements")
-    if setting == "nil":
+    if setting == NIL:
         out_dag = nil_intersect(p_dag, q_dag, max_nodes)
     else:
         out_dag = sqrt_intersect(p_dag, q_dag, max_nodes)
@@ -215,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_product.add_argument("problem", help="problem file listing U, a, b as generators")
     p_product.add_argument("p_certificate")
     p_product.add_argument("q_certificate")
-    p_product.add_argument("--setting", choices=("nil", "sqrt"))
+    p_product.add_argument("--setting", choices=(NIL, SQRT))
     p_product.add_argument("--m", help="middle element (sqrt only; default the least unused z#uid)")
     p_product.add_argument("-o", "--out", help="output path (default product.cert.json)")
     p_product.set_defaults(func=_cmd_product)
@@ -232,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_intersect.add_argument("p_certificate")
     p_intersect.add_argument("q_certificate")
-    p_intersect.add_argument("--setting", choices=("nil", "sqrt"))
+    p_intersect.add_argument("--setting", choices=(NIL, SQRT))
     p_intersect.add_argument("-o", "--out", help="output path (default intersect.cert.json)")
     p_intersect.set_defaults(func=_cmd_intersect)
     return parser

@@ -185,7 +185,7 @@ def emit_proof_log(cert: Certificate, style: str = "text") -> str:
 
 
 def _replay_steps(cert: Certificate, concl: tuple[Poly, ...]) -> tuple[ProofStep, ...]:
-    ideal = "Nil" if cert.setting == "nil" else "sqrt"
+    ideal = "Nil" if cert.setting == NIL else "sqrt"
     steps = []
     for i, node in enumerate(cert.nodes):
         if isinstance(node, Intro):

@@ -10,13 +10,15 @@ Expression grammar::
 `*` is the noncommutative product and must be written explicitly;
 `[p, q]` denotes the commutator p*q - q*p.  Problem files are plain
 text, one `key: value` per line, with `;` separating list items and
-`#` starting a comment.
+`#` starting a comment; parse_problem parses each expression once and
+returns the values, not the source strings.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
+from nilcert.certificate import NIL, SQRT
 from nilcert.record import Record
 from nilcert.ring import _NAME_RE, Poly, Symbol, base_symbol, commutator, format_poly
 
@@ -198,7 +200,11 @@ def parse_poly(src: str, symbols) -> Poly:
     UndeclaredIdentifierError.
     """
     parser = _Parser(_tokenize(src), _alphabet(symbols))
-    poly = parser.parse_poly()
+    try:
+        poly = parser.parse_poly()
+    except RecursionError:
+        tok = parser.peek()
+        raise ParseError("expression nested too deeply", tok.line, tok.col) from None
     tok = parser.peek()
     if tok.kind != "end":
         raise ParseError(f"trailing input starting at {tok.text!r}", tok.line, tok.col)
@@ -211,36 +217,17 @@ def print_poly(p: Poly, order: Sequence[str] | None = None) -> str:
 
 
 class ProblemFile(Record):
-    """A membership problem as authored by a human.
-
-    Expressions are kept as source strings; the parse methods validate
-    them against the declared alphabet on demand.
-    """
+    """A membership problem as authored by a human, its expressions
+    parsed against the declared alphabet."""
 
     __slots__ = ()
 
-    def __new__(cls, setting: str, symbols: tuple[str, ...], generators: tuple[str, ...],
-                families: tuple[tuple[str, str], ...], claim: str | None):
+    def __new__(cls, setting: str, symbols: tuple[str, ...], generators: tuple[Poly, ...],
+                families: tuple[tuple[Poly, Poly], ...], claim: Poly | None):
         return tuple.__new__(cls, (setting, symbols, generators, families, claim))
 
-    def alphabet(self) -> dict[str, Symbol]:
-        return {name: base_symbol(name) for name in self.symbols}
-
     def generator_polys(self) -> tuple[Poly, ...]:
-        alpha = self.alphabet()
-        return tuple(parse_poly(src, alpha) for src in self.generators)
-
-    def family_polys(self) -> tuple[tuple[Poly, Poly], ...]:
-        alpha = self.alphabet()
-        return tuple(
-            (parse_poly(left, alpha), parse_poly(right, alpha))
-            for left, right in self.families
-        )
-
-    def claim_poly(self) -> Poly | None:
-        if self.claim is None:
-            return None
-        return parse_poly(self.claim, self.alphabet())
+        return self.generators
 
 
 _PROBLEM_KEYS = ("setting", "symbols", "generators", "families", "claim")
@@ -273,7 +260,7 @@ def parse_problem(src: str) -> ProblemFile:
     if "setting" not in fields:
         raise ProblemError("missing required key 'setting'", len(src.splitlines()) + 1)
     setting = fields["setting"]
-    if setting not in ("nil", "sqrt"):
+    if setting not in (NIL, SQRT):
         raise ProblemError(f"setting must be nil or sqrt, got {setting!r}", lines["setting"])
 
     symbols = tuple(_split_items(fields.get("symbols", "")))
@@ -283,7 +270,7 @@ def parse_problem(src: str) -> ProblemFile:
     if len(set(symbols)) != len(symbols):
         raise ProblemError("duplicate symbol name", lines["symbols"])
 
-    generators = tuple(_split_items(fields.get("generators", "")))
+    generators = _split_items(fields.get("generators", ""))
 
     families: list[tuple[str, str]] = []
     for item in _split_items(fields.get("families", "")):
@@ -293,27 +280,23 @@ def parse_problem(src: str) -> ProblemFile:
                 f"family must be written 'left | right', got {item!r}", lines["families"]
             )
         families.append((left.strip(), right.strip()))
-    if families and setting != "sqrt":
+    if families and setting != SQRT:
         raise ProblemError("families are only allowed when setting is sqrt", lines["families"])
 
-    problem = ProblemFile(
+    alphabet = {name: base_symbol(name) for name in symbols}
+
+    def parse(key: str, expr: str) -> Poly:
+        try:
+            return parse_poly(expr, alphabet)
+        except ParseError as err:
+            raise ProblemError(f"in {key}: {expr!r}: {err.message}", lines[key]) from err
+
+    claim = fields.get("claim")
+    return ProblemFile(  # fields are evaluated, and so parsed, in order
         setting=setting,
         symbols=symbols,
-        generators=generators,
-        families=tuple(families),
-        claim=fields.get("claim") or None,
+        generators=tuple(parse("generators", expr) for expr in generators),
+        families=tuple((parse("families", left), parse("families", right))
+                       for left, right in families),
+        claim=parse("claim", claim) if claim else None,
     )
-
-    # Validate every expression now so errors carry the file line.
-    for key, exprs in (
-        ("generators", problem.generators),
-        ("families", [s for pair in problem.families for s in pair]),
-        ("claim", [problem.claim] if problem.claim else []),
-    ):
-        alpha = problem.alphabet()
-        for expr in exprs:
-            try:
-                parse_poly(expr, alpha)
-            except ParseError as err:
-                raise ProblemError(f"in {key}: {expr!r}: {err.message}", lines[key]) from err
-    return problem

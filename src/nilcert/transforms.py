@@ -19,7 +19,9 @@ multiple, no insert, so no step squares more than the rotated word.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from typing import Sequence
 
 from nilcert.certificate import (
@@ -52,6 +54,7 @@ __all__ = [
     "nil_intersect",
     "sqrt_product",
     "sqrt_intersect",
+    "fresh_middle",
 ]
 
 
@@ -172,22 +175,14 @@ def permute(
         m *= 2
 
     full = seq * m
-    gap_polys: list[Poly] = []
-    for k in range(n - 1):
-        gap = _ONE
-        for j in range(positions[k] + 1, positions[k + 1]):
-            gap = gap * factors[full[j] - 1]
-        gap_polys.append(gap)
-    prefix = _ONE
-    for j in range(positions[0]):
-        prefix = prefix * factors[full[j] - 1]
-    suffix = _ONE
-    for j in range(positions[-1] + 1, n * m):
-        suffix = suffix * factors[full[j] - 1]
 
-    heads = [_ONE]
-    for f in factors:
-        heads.append(heads[-1] * f)
+    def span(start: int, stop: int) -> Poly:
+        return math.prod((factors[i - 1] for i in full[start:stop]), start=_ONE)
+
+    gap_polys = [span(positions[k] + 1, positions[k + 1]) for k in range(n - 1)]
+    prefix = span(0, positions[0])
+    suffix = span(positions[-1] + 1, n * m)
+    heads = list(itertools.accumulate(factors, operator.mul, initial=_ONE))
 
     builder = DagBuilder.from_dag(w, max_nodes)
     current = w.root
@@ -417,7 +412,13 @@ def sqrt_intersect(
     c = p.conclusion
     if c != q.conclusion:
         raise ConclusionMismatchError("the two witnesses conclude different elements")
-    bound = fresh_schematic("z", dict.fromkeys(dag_symbols(p, q)))
+    bound = fresh_middle(p, q)
     product = sqrt_product(p, q, Poly.symbol(bound), max_nodes)
     builder = DagBuilder.from_dag(product, max_nodes)
     return builder.build(builder.semiprime(bound, product.root, c))
+
+
+def fresh_middle(p: WitnessDag, q: WitnessDag) -> Symbol:
+    """The default schematic middle for a sqrt product of p and q: the
+    least ``z#uid`` that neither input mentions."""
+    return fresh_schematic("z", dict.fromkeys(dag_symbols(p, q)))

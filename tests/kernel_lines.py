@@ -9,7 +9,8 @@ Reads each golden certificate with ``deserialize`` and checks it with
 ``check_certificate`` under ``sys.settrace``, then prints, per file of
 the package, how many distinct lines ran, and their total.  Code run at
 import time is not counted.  Every file should be one of KERNEL;
-``tests/test_kernel.py`` asserts that on the same trace.
+``tests/test_kernel.py`` asserts that on the same trace, and that the
+total of a fresh process stays within its bound.
 """
 
 from __future__ import annotations

@@ -387,8 +387,6 @@ def test_certificate_from_dag_defaults():
     cert = certificate_from_dag(dag)
     assert cert.symbols == ("x", "y")
     assert cert.claim == y * x
-    with pytest.raises(WitnessError, match="claim differs"):
-        certificate_from_dag(dag, claim=x)
 
 
 def test_certificate_from_dag_completes_symbol_list():

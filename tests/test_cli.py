@@ -20,6 +20,7 @@ import pytest
 import nilcert
 import nilcert.certio as certio
 import nilcert.cli as cli
+import nilcert.lang as lang
 from nilcert import (
     DagBuilder,
     GeneratorSet,
@@ -388,6 +389,46 @@ def test_product_problem_file_errors_are_usage_errors(tmp_path):
     write_intro_cert(p, NIL, (x,))
     assert run("product", str(bad), str(p), str(p)).returncode == 2
     assert run("product", str(tmp_path / "missing.txt"), str(p), str(p)).returncode == 2
+
+
+def test_product_parses_each_problem_expression_once(tmp_path, monkeypatch):
+    monkeypatch.delenv("NILCERT_MAX_NODES", raising=False)
+    prob = tmp_path / "prob.txt"
+    prob.write_text("setting: sqrt\nsymbols: x; y\ngenerators: x; y\n"
+                    "families: x | y\nclaim: x*y\n")
+    write_intro_cert(tmp_path / "p.json", SQRT, (x,), ((x, y),), symbols=("x", "y"))
+    write_intro_cert(tmp_path / "q.json", SQRT, (y,), ((x, y),), symbols=("x", "y"))
+    parsed = []
+    parse_poly = lang.parse_poly
+
+    def counting(src, symbols):
+        parsed.append(src)
+        return parse_poly(src, symbols)
+
+    monkeypatch.setattr(lang, "parse_poly", counting)
+    code, _, err = main_in_process(["product", str(prob), str(tmp_path / "p.json"),
+                                    str(tmp_path / "q.json"), "-o", str(tmp_path / "out.json")])
+    assert code == 0, err
+    assert parsed == ["x", "y", "x", "y", "x*y"]
+
+
+def test_deeply_nested_expressions_are_usage_errors(tmp_path):
+    deep = "(" * 1000 + "x" + ")" * 1000
+    (tmp_path / "deep.txt").write_text(f"setting: sqrt\nsymbols: x; y\ngenerators: x; {deep}\n")
+    (tmp_path / "prob.txt").write_text(SQRT_PROBLEM)
+    write_intro_cert(tmp_path / "p.json", SQRT, (x,), symbols=("x", "y"))
+    write_intro_cert(tmp_path / "q.json", SQRT, (y,), symbols=("x", "y"))
+    path = make_three_factor_cert(tmp_path)
+    results = [run(*argv, cwd=tmp_path) for argv in (
+        ["product", "deep.txt", "p.json", "q.json"],
+        ["product", "prob.txt", "p.json", "q.json", "--m", deep],
+        ["permute", str(path), "--factors", f"x; y; {deep}", "--sigma", "3,1,2"],
+    )]
+    for result in results:
+        assert result.returncode == 2
+        assert "expression nested too deeply" in result.stderr
+        assert "Traceback" not in result.stderr
+    assert results[0].stderr.startswith("nilcert: line 3: in generators: ")
 
 
 # -- permute ------------------------------------------------------------------

@@ -71,6 +71,20 @@ def test_syntax_errors_carry_position(src, line, col):
     assert (info.value.line, info.value.col) == (line, col)
 
 
+DEEP = 1000  # well past the interpreter's recursion limit
+
+
+@pytest.mark.parametrize(
+    "src",
+    ["(" * DEEP + "x" + ")" * DEEP, "[" * DEEP + "x" + ", y]" * DEEP, "-(" * DEEP + "x"],
+    ids=["parentheses", "commutators", "negations"],
+)
+def test_deep_nesting_is_a_parse_error(src):
+    with pytest.raises(ParseError, match="expression nested too deeply") as info:
+        parse_poly(src, XY)
+    assert info.value.line == 1 and 1 < info.value.col < len(src)
+
+
 def test_undeclared_identifier():
     with pytest.raises(UndeclaredIdentifierError) as info:
         parse_poly("x + q*y", XY)
@@ -120,16 +134,16 @@ def test_parse_problem_nil():
     prob = parse_problem(NIL_PROBLEM)
     assert prob.setting == "nil"
     assert prob.symbols == ("x", "y")
-    assert prob.generator_polys() == (x ** 3 - x, y ** 3 - y)
+    assert prob.generators == (x ** 3 - x, y ** 3 - y)
     assert prob.families == ()
-    assert prob.claim_poly() == x * y - y * x
+    assert prob.claim == x * y - y * x
 
 
 def test_parse_problem_sqrt_families():
     prob = parse_problem(SQRT_PROBLEM)
     a, b, c = (Poly.symbol(base_symbol(n)) for n in "abc")
-    assert prob.family_polys() == ((a, b), (a + c, b))
-    assert prob.claim is None and prob.claim_poly() is None
+    assert prob.families == ((a, b), (a + c, b))
+    assert prob.claim is None
 
 
 def test_problem_comments_and_blank_lines_ignored():
@@ -154,6 +168,8 @@ def test_problem_comments_and_blank_lines_ignored():
         ("setting: sqrt\nsymbols: a\nfamilies: a\n", "'left | right'", 3),
         ("setting: nil\nsymbols: x\ngenerators: x + q\n", "undeclared", 3),
         ("setting: nil\nsymbols: x\nclaim: x +\n", "in claim", 3),
+        pytest.param("setting: nil\nsymbols: x\nclaim: " + "(" * DEEP + "x" + ")" * DEEP,
+                     "expression nested too deeply", 3, id="nested-too-deeply"),
     ],
 )
 def test_problem_errors_carry_line(src, fragment, line):
