@@ -8,10 +8,11 @@ Expression grammar::
             | '[' poly ',' poly ']'
 
 `*` is the noncommutative product and must be written explicitly;
-`[p, q]` denotes the commutator p*q - q*p.  Problem files are plain
-text, one `key: value` per line, with `;` separating list items and
-`#` starting a comment; parse_problem parses each expression once and
-returns the values, not the source strings.
+`[p, q]` denotes the commutator p*q - q*p.  Brackets nest at most
+MAX_NESTING deep.  Problem files are plain text, one `key: value` per
+line, with `;` separating list items and `#` starting a comment;
+parse_problem parses each expression once and returns the values, not
+the source strings.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "UndeclaredIdentifierError",
     "ProblemError",
     "ProblemFile",
+    "MAX_NESTING",
     "parse_poly",
     "print_poly",
     "parse_problem",
@@ -58,6 +60,10 @@ class ProblemError(ValueError):
 
 
 _PUNCT = "+-*^()[],"
+
+# Brackets may nest this deep in an expression, whatever the caller's
+# stack depth; each level takes three parser frames.
+MAX_NESTING = 100
 
 
 class _Token(Record):
@@ -115,6 +121,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.alphabet = alphabet
+        self.depth = 0  # brackets open around the current factor
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -161,17 +168,17 @@ class _Parser:
             if sym is None:
                 raise UndeclaredIdentifierError(tok.text, tok.line, tok.col)
             base = Poly.symbol(sym)
-        elif tok.kind == "(":
+        elif tok.kind in "([":
             self.take()
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError("expression nested too deeply", tok.line, tok.col)
             base = self.parse_poly()
-            self.expect(")")
-        elif tok.kind == "[":
-            self.take()
-            left = self.parse_poly()
-            self.expect(",")
-            right = self.parse_poly()
-            self.expect("]")
-            base = commutator(left, right)
+            if tok.kind == "[":
+                self.expect(",")
+                base = commutator(base, self.parse_poly())
+            self.expect(")" if tok.kind == "(" else "]")
+            self.depth -= 1
         else:
             shown = tok.text if tok.kind != "end" else "end of input"
             raise ParseError(f"expected a factor, found {shown!r}", tok.line, tok.col)
@@ -197,12 +204,13 @@ def parse_poly(src: str, symbols) -> Poly:
 
     ``symbols`` may be an iterable of names (or Symbol objects) or a
     name-to-Symbol mapping.  Identifiers outside the alphabet raise
-    UndeclaredIdentifierError.
+    UndeclaredIdentifierError.  A bracket nested more than MAX_NESTING
+    deep raises ParseError at that bracket.
     """
     parser = _Parser(_tokenize(src), _alphabet(symbols))
     try:
         poly = parser.parse_poly()
-    except RecursionError:
+    except RecursionError:  # a caller within 3 * MAX_NESTING frames of the limit
         tok = parser.peek()
         raise ParseError("expression nested too deeply", tok.line, tok.col) from None
     tok = parser.peek()

@@ -15,6 +15,8 @@ Permutations reduce to a power-of-two trick over rotate and insert.
 Products and intersections follow the structural recursions described
 on each function; a product's Red node takes a rotate and a one-sided
 multiple, no insert, so no step squares more than the rotated word.
+nil_product memoises on the conclusion pair, so a conclusion that a
+witness derives at many nodes is translated once.
 """
 
 from __future__ import annotations
@@ -218,6 +220,17 @@ def _split_distinguished(
     return pe[:-1], pe[-1], qe[-1]
 
 
+def _first_with_conclusion(w: WitnessDag) -> list[int]:
+    """Each node id of w mapped to the least id with an equal conclusion.
+
+    Every node of a WitnessDag derives its conclusion, so either id
+    proves the same membership; children precede parents, so the
+    least id's own children are earlier still.
+    """
+    first: dict[Poly, int] = {}
+    return [first.setdefault(c, i) for i, c in enumerate(w.conclusions)]
+
+
 def nil_product(
     p: WitnessDag, q: WitnessDag, max_nodes: int = DEFAULT_MAX_NODES
 ) -> WitnessDag:
@@ -226,9 +239,12 @@ def nil_product(
 
     Structural recursion on p, and on q once p has reached the
     distinguished generator a; every step re-expresses x*y as a
-    constructor application over the recursive result.  Shared subtrees
-    are translated once (memoised on the node-id pair), which keeps the
-    output linear in the inputs.
+    constructor application over the recursive result.  Each node is
+    read through the first node of its witness with an equal conclusion,
+    so translations are memoised on the conclusion pair: shared subtrees
+    and repeated conclusions are translated once, which keeps the output
+    linear in the inputs, and a Red chain whose every level concludes
+    the same element collapses to its first node.
 
     A Red node for c (premise c*c) takes a rotation and a one-sided
     multiple, no insert: c*c*y rotates to c*y*c, then (c*y*c)*y =
@@ -242,9 +258,11 @@ def nil_product(
     common, a, b = _split_distinguished(p, q)
     out = DagBuilder(NIL, GeneratorSet(common + (a * b,)), max_nodes)
     distinguished = len(common)
+    p_first, q_first = _first_with_conclusion(p), _first_with_conclusion(q)
     memo: dict[tuple[int, int], int] = {}
 
     def prod(pi: int, qi: int) -> int:
+        pi, qi = p_first[pi], q_first[qi]
         key = (pi, qi)
         hit = memo.get(key)
         if hit is not None:

@@ -49,7 +49,7 @@ from nilcert.checker import (
     SEMIPRIME_SHAPE,
     WRONG_SETTING,
 )
-from nilcert.certificate import Intro, Mult, Semiprime
+from nilcert.certificate import REF, Intro, Mult, Semiprime, map_fields
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -104,6 +104,35 @@ def test_criterion_3_random_nil_products():
         assert out.generators.elements == common + (ab,)
         cert = _checked(out)
         _ORACLE_POOL.append((f"nil product {trial}", serialize(cert)))
+
+
+def _repeating_conclusions(rng: random.Random, w):
+    """w rebuilt with each node wrapped in up to two steps that conclude
+    what it concludes: Add with Zero, or Red over Mult(c, node, 1)."""
+    builder = DagBuilder(NIL, w.generators)
+    ids: list[int] = []
+    for node in w.nodes:
+        i = builder.add_node(map_fields(node, {REF: ids.__getitem__}))
+        for _ in range(rng.randint(0, 2)):
+            c = builder.conclusion(i)
+            if rng.random() < 0.5 and len(c) <= 6:
+                i = builder.red(builder.mult(c, i, one), c)
+            else:
+                zero = builder.zero()
+                i = builder.add(i, zero) if rng.random() < 0.5 else builder.add(zero, i)
+        ids.append(i)
+    return builder.build(ids[w.root])
+
+
+def test_criterion_3_nil_products_over_repeated_conclusions():
+    rng = random.Random(35_002)
+    for trial in range(60):
+        p, q = witgen.nil_pair(rng, ("x", "y"), rng.randint(0, 4))
+        p, q = _repeating_conclusions(rng, p), _repeating_conclusions(rng, q)
+        out = nil_product(p, q)
+        assert out.conclusion == p.conclusion * q.conclusion
+        cert = _checked(out)
+        _ORACLE_POOL.append((f"nil product, repeated conclusions {trial}", serialize(cert)))
 
 
 def test_criterion_4_random_sqrt_products():
@@ -429,3 +458,8 @@ def test_criterion_9_product_of_deep_red_chains():
     again = deserialize(data)
     assert serialize(again) == data
     assert check_certificate(again).ok
+    # every level of a chain concludes its element, so the product does
+    # not grow with the depth
+    deeper = nil_product(_red_chain(x, 58), _red_chain(y, 58))
+    assert len(deeper) == len(out)
+    assert check_certificate(certificate_from_dag(deeper)).ok

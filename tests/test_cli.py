@@ -181,9 +181,12 @@ def test_golden_checker_runs_from_a_checkout_without_pythonpath():
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
-def test_golden_files_regenerate_in_a_fresh_interpreter(tmp_path):
-    # the script by absolute path from another directory, as a user runs it
-    result = python(os.path.join(GOLDEN, "regen.py"), "--check", cwd=tmp_path)
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_golden_files_regenerate_in_a_fresh_interpreter(tmp_path, hash_seed):
+    # the script by absolute path from another directory, as a user runs it;
+    # products look conclusions up by Poly, so bytes must not follow hash order
+    result = python(os.path.join(GOLDEN, "regen.py"), "--check", cwd=tmp_path,
+                    env_extra={"PYTHONHASHSEED": hash_seed})
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.count("unchanged") == 3
 

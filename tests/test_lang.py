@@ -17,6 +17,7 @@ from nilcert import (
     parse_problem,
     print_poly,
 )
+from nilcert.lang import MAX_NESTING
 
 XY = ("x", "y")
 x = Poly.symbol(base_symbol("x"))
@@ -83,6 +84,29 @@ def test_deep_nesting_is_a_parse_error(src):
     with pytest.raises(ParseError, match="expression nested too deeply") as info:
         parse_poly(src, XY)
     assert info.value.line == 1 and 1 < info.value.col < len(src)
+
+
+def _called_from_below(frames, call):
+    """call(), run under ``frames`` extra stack frames."""
+    return call() if frames == 0 else _called_from_below(frames - 1, call)
+
+
+@pytest.mark.parametrize("opening", ["(", "[", "-("])
+def test_the_nesting_limit_does_not_depend_on_the_callers_stack(opening):
+    closing = {"(": ")", "[": ", y]", "-(": ")"}[opening]
+    at_limit = opening * MAX_NESTING + "x" + closing * MAX_NESTING
+    past = opening * (MAX_NESTING + 1) + "x" + closing * (MAX_NESTING + 1)
+    errors = []
+    for frames in (0, 500):
+        assert _called_from_below(frames, lambda: parse_poly(at_limit, XY)) == (
+            parse_poly(at_limit, XY)
+        )
+        with pytest.raises(ParseError) as info:
+            _called_from_below(frames, lambda: parse_poly(past, XY))
+        errors.append((info.value.message, info.value.line, info.value.col))
+    # the error names the first bracket past the limit
+    col = len(opening) * MAX_NESTING + len(opening)
+    assert errors == [("expression nested too deeply", 1, col)] * 2
 
 
 def test_undeclared_identifier():

@@ -39,7 +39,7 @@ from nilcert.transforms import (
     SettingMismatchError,
     TransformError,
 )
-from nilcert.certificate import Semiprime
+from nilcert.certificate import Red, Semiprime
 
 x, y, z = (Poly.symbol(base_symbol(n)) for n in "xyz")
 one = Poly.one()
@@ -242,7 +242,7 @@ def test_left_folded_central_roots_stay_small_at_four_constants():
     cert = central_roots_witness(CentralConstants((0, 1, -1, 2)))
     verdict = check_certificate(cert)
     assert verdict.ok, str(verdict)
-    assert len(cert.nodes) <= 387
+    assert len(cert.nodes) <= 140
     assert max(len(concl) for concl in verdict.conclusions) <= 16_384
 
 
@@ -285,10 +285,44 @@ def test_nil_product_rejects_mismatched_inputs():
 
 
 def test_nil_product_budget():
-    rng = random.Random(67)
-    p, q = witgen.nil_pair(rng, ("x", "y"), 4)
+    a, b = x * x - x, y * y - y
+    pb = DagBuilder(NIL, GeneratorSet((a,)))
+    p = pb.build(pb.mult(x, pb.intro(0), one))
+    qb = DagBuilder(NIL, GeneratorSet((b,)))
+    q = qb.build(qb.mult(one, qb.intro(0), y))
+    assert len(nil_product(p, q)) > 2  # so the budget, not the input, decides
     with pytest.raises(BudgetExceededError):
         nil_product(p, q, max_nodes=2)
+
+
+def test_nil_product_translates_essential_red_nodes_on_both_sides():
+    # no earlier node concludes c (or d), so each Red is its own
+    # translation: prod's Red branch on p, _prod_right's on q
+    c, d = x + y, x - z
+    pb = DagBuilder(NIL, GeneratorSet((c * c,)))
+    p = pb.build(pb.red(pb.intro(0), c))
+    qb = DagBuilder(NIL, GeneratorSet((d * d,)))
+    q = qb.build(qb.red(qb.intro(0), d))
+    out = nil_product(p, q)
+    assert out.conclusion == c * d
+    reds = {node.conclusion for node in out.nodes if isinstance(node, Red)}
+    assert c * d in reds  # prod's Red, to c*y with y = d
+    assert c * c * d in reds  # _prod_right's Red, to a*d with a = c*c
+    assert_valid(out)
+
+
+def test_nil_product_reads_each_conclusion_once():
+    # Add(s, Zero) and Red(Mult(s, s, 1), s) repeat the conclusion s, so
+    # the product is that of the bare Intros
+    pb = DagBuilder(NIL, GeneratorSet((x,)))
+    s = pb.intro(0)
+    p = pb.build(pb.add(pb.red(pb.mult(x, s, one), x), pb.zero()))
+    qb = DagBuilder(NIL, GeneratorSet((y,)))
+    q = qb.build(qb.add(qb.zero(), qb.intro(0)))
+    out = nil_product(p, q)
+    assert out.conclusion == x * y
+    assert len(out) == len(nil_product(product_witness("x"), product_witness("y"))) == 1
+    assert_valid(out)
 
 
 def test_nil_intersect():
