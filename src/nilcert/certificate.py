@@ -242,26 +242,27 @@ def dag_polys(generators: GeneratorSet, claim: Poly, nodes: Iterable[Node]) -> l
 
 
 def _node_json(node: Node, ident: int, poly: Callable[[Poly], str]) -> str:
-    # keys in sorted order, as json.dumps(sort_keys=True) writes them
+    # keys in sorted order, as json.dumps(sort_keys=True) writes them; ids and
+    # indices as JSON integers (:d), also when a builder was handed a bool
     if isinstance(node, Intro):
-        return f'{{"gen":{node.gen_index},"id":{ident},"op":"intro"}}'
+        return f'{{"gen":{node.gen_index:d},"id":{ident},"op":"intro"}}'
     if isinstance(node, IntroFamily):
-        return (f'{{"family":{node.family_index},"id":{ident},'
+        return (f'{{"family":{node.family_index:d},"id":{ident},'
                 f'"instance":{poly(node.instance)},"op":"intro_family"}}')
     if isinstance(node, Zero):
         return f'{{"id":{ident},"op":"zero"}}'
     if isinstance(node, Add):
-        return f'{{"id":{ident},"left":{node.left},"op":"add","right":{node.right}}}'
+        return f'{{"id":{ident},"left":{node.left:d},"op":"add","right":{node.right:d}}}'
     if isinstance(node, Mult):
-        return (f'{{"id":{ident},"inner":{node.inner},"left":{poly(node.left)},'
+        return (f'{{"id":{ident},"inner":{node.inner:d},"left":{poly(node.left)},'
                 f'"op":"mult","right":{poly(node.right)}}}')
     if isinstance(node, Red):
         return (f'{{"conclusion":{poly(node.conclusion)},"id":{ident},'
-                f'"op":"red","premise":{node.premise}}}')
+                f'"op":"red","premise":{node.premise:d}}}')
     if isinstance(node, Semiprime):
         return (f'{{"bound":{json.dumps(node.bound.encode())},'
                 f'"conclusion":{poly(node.conclusion)},"id":{ident},'
-                f'"op":"semiprime","premise":{node.premise}}}')
+                f'"op":"semiprime","premise":{node.premise:d}}}')
     raise TypeError(f"unknown node kind {type(node).__name__}")
 
 
@@ -288,7 +289,7 @@ def serialize(cert: Certificate) -> bytes:
     symbols = json.dumps(list(cert.symbols), separators=(",", ":"))
     return (
         f'{{"claim":{poly(cert.claim)},"families":[{families}],'
-        f'"generators":[{generators}],"nodes":[{nodes}],"root":{cert.root},'
+        f'"generators":[{generators}],"nodes":[{nodes}],"root":{cert.root:d},'
         f'"setting":{json.dumps(cert.setting)},"symbols":{symbols},'
         f'"version":{FORMAT_VERSION}}}\n'
     ).encode()

@@ -13,7 +13,7 @@ import functools
 import os
 import sys
 
-from nilcert.certificate import NIL, SQRT, Certificate, GeneratorSet, deserialize, serialize
+from nilcert.certificate import NIL, Certificate, GeneratorSet, deserialize, serialize
 from nilcert.certio import certificate_from_dag, dag_from_certificate
 from nilcert.checker import check_certificate
 from nilcert.commutativity import xn_demo
@@ -116,10 +116,8 @@ def _split_product_generators(problem):
     return gens[:-2], gens[-2], gens[-1]
 
 
-def _require_setting(flag: str | None, *settings: str) -> str:
-    found = {s for s in settings if s is not None}
-    if flag is not None:
-        found.add(flag)
+def _require_setting(*settings: str) -> str:
+    found = set(settings)
     if len(found) != 1:
         raise _InvalidInput(f"conflicting settings: {', '.join(sorted(found))}")
     return found.pop()
@@ -128,11 +126,10 @@ def _require_setting(flag: str | None, *settings: str) -> str:
 def _cmd_product(args, max_nodes: int) -> int:
     with open(args.problem, "r", encoding="utf-8") as handle:
         problem = parse_problem(handle.read())
-    setting = _require_setting(args.setting, problem.setting)
     common, a, b = _split_product_generators(problem)
     p_cert, p_dag = _load_dag(args.p_certificate, max_nodes)
     q_cert, q_dag = _load_dag(args.q_certificate, max_nodes)
-    _require_setting(setting, p_cert.setting, q_cert.setting)
+    setting = _require_setting(problem.setting, p_cert.setting, q_cert.setting)
     expect_p = GeneratorSet(common + (a,), problem.families)
     expect_q = GeneratorSet(common + (b,), problem.families)
     if p_cert.generators != expect_p:
@@ -174,7 +171,7 @@ def _cmd_permute(args, max_nodes: int) -> int:
 def _cmd_intersect(args, max_nodes: int) -> int:
     p_cert, p_dag = _load_dag(args.p_certificate, max_nodes)
     q_cert, q_dag = _load_dag(args.q_certificate, max_nodes)
-    setting = _require_setting(args.setting, p_cert.setting, q_cert.setting)
+    setting = _require_setting(p_cert.setting, q_cert.setting)
     if setting == NIL:
         out_dag = nil_intersect(p_dag, q_dag, max_nodes)
     else:
@@ -213,7 +210,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_product.add_argument("problem", help="problem file listing U, a, b as generators")
     p_product.add_argument("p_certificate")
     p_product.add_argument("q_certificate")
-    p_product.add_argument("--setting", choices=(NIL, SQRT))
     p_product.add_argument("--m", help="middle element (sqrt only; default the least unused z#uid)")
     p_product.add_argument("-o", "--out", help="output path (default product.cert.json)")
     p_product.set_defaults(func=_cmd_product)
@@ -230,7 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_intersect.add_argument("p_certificate")
     p_intersect.add_argument("q_certificate")
-    p_intersect.add_argument("--setting", choices=(NIL, SQRT))
     p_intersect.add_argument("-o", "--out", help="output path (default intersect.cert.json)")
     p_intersect.set_defaults(func=_cmd_intersect)
     return parser
@@ -252,6 +247,8 @@ def main(argv=None) -> int:
         return args.func(args, max_nodes)
     except (_InvalidInput, WitnessError, TransformError) as err:
         return _fail(1, str(err))
+    except RecursionError:  # a transform recurses once per level of a witness
+        return _fail(1, "witness nesting depth exceeds the transforms' recursion limit")
     except (OSError, ValueError) as err:
         return _fail(2, str(err))
 

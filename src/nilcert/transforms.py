@@ -12,11 +12,10 @@ witness of u*v:
     insert:  (u*r)*(v*u)*(r*v) = (u*r*v)^2,  so u*r*v is in the ideal
 
 Permutations reduce to a power-of-two trick over rotate and insert.
-Products and intersections follow the structural recursions described
-on each function; a product's Red node takes a rotate and a one-sided
-multiple, no insert, so no step squares more than the rotated word.
-nil_product memoises on the conclusion pair, so a conclusion that a
-witness derives at many nodes is translated once.
+A product is two inductions, one over each witness and each memoised
+on its own nodes, as described on each function.  A product's Red node
+takes a rotate and a one-sided multiple, no insert, so no step squares
+more than the rotated word.
 """
 
 from __future__ import annotations
@@ -237,14 +236,15 @@ def nil_product(
     """Multiply memberships: x in Nil(U,a) and y in Nil(U,b) give
     x*y in Nil(U, a*b).
 
-    Structural recursion on p, and on q once p has reached the
-    distinguished generator a; every step re-expresses x*y as a
+    Two inductions, one over each witness: times_y derives x'*y for each
+    x' that p derives, y being q's conclusion, and at the distinguished
+    generator a calls a_times, which derives a*y' for each y' that q
+    derives and never reads p.  Each step re-expresses the product as a
     constructor application over the recursive result.  Each node is
     read through the first node of its witness with an equal conclusion,
-    so translations are memoised on the conclusion pair: shared subtrees
-    and repeated conclusions are translated once, which keeps the output
-    linear in the inputs, and a Red chain whose every level concludes
-    the same element collapses to its first node.
+    so shared subtrees and repeated conclusions are translated once,
+    which keeps the output linear in the inputs, and a Red chain whose
+    every level concludes the same element collapses to its first node.
 
     A Red node for c (premise c*c) takes a rotation and a one-sided
     multiple, no insert: c*c*y rotates to c*y*c, then (c*y*c)*y =
@@ -259,60 +259,65 @@ def nil_product(
     out = DagBuilder(NIL, GeneratorSet(common + (a * b,)), max_nodes)
     distinguished = len(common)
     p_first, q_first = _first_with_conclusion(p), _first_with_conclusion(q)
-    memo: dict[tuple[int, int], int] = {}
+    y = q.conclusion
+    p_memo: dict[int, int] = {}
+    q_memo: dict[int, int] = {}
 
-    def prod(pi: int, qi: int) -> int:
-        pi, qi = p_first[pi], q_first[qi]
-        key = (pi, qi)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+    def times_y(pi: int) -> int:
+        pi = p_first[pi]
+        if pi in p_memo:
+            return p_memo[pi]
         node = p.nodes[pi]
-        y = q.conclusions[qi]
         if isinstance(node, Intro) and node.gen_index != distinguished:
             out_id = out.mult(_ONE, out.intro(node.gen_index), y)
         elif isinstance(node, Intro):
-            out_id = _prod_right(pi, qi)
+            out_id = a_times(q.root)
         elif isinstance(node, Zero):
             out_id = out.zero()
         elif isinstance(node, Add):
-            out_id = out.add(prod(node.left, qi), prod(node.right, qi))
+            out_id = out.add(times_y(node.left), times_y(node.right))
         elif isinstance(node, Mult):
-            inner = prod(node.inner, qi)
+            inner = times_y(node.inner)
             spliced = _insert_at(out, inner, p.conclusions[node.inner], y, node.right)
             out_id = out.mult(node.left, spliced, _ONE)
         elif isinstance(node, Red):
             c = node.conclusion
-            inner = prod(node.premise, qi)  # concludes c*c*y
+            inner = times_y(node.premise)  # concludes c*c*y
             rotated = _rotate_at(out, inner, c, c * y)  # c*y*c
             out_id = out.red(out.mult(_ONE, rotated, y), c * y)
         else:
             raise TransformError(f"unexpected node in nil witness: {node!r}")
-        memo[key] = out_id
+        p_memo[pi] = out_id
         return out_id
 
-    def _prod_right(pi: int, qi: int) -> int:
+    def a_times(qi: int) -> int:
+        qi = q_first[qi]
+        if qi in q_memo:
+            return q_memo[qi]
         node = q.nodes[qi]
         if isinstance(node, Intro) and node.gen_index != distinguished:
-            return out.mult(a, out.intro(node.gen_index), _ONE)
-        if isinstance(node, Intro):
-            return out.intro(distinguished)  # a*b is the new generator
-        if isinstance(node, Zero):
-            return out.zero()
-        if isinstance(node, Add):
-            return out.add(prod(pi, node.left), prod(pi, node.right))
-        if isinstance(node, Mult):
-            inner = prod(pi, node.inner)
+            out_id = out.mult(a, out.intro(node.gen_index), _ONE)
+        elif isinstance(node, Intro):
+            out_id = out.intro(distinguished)  # a*b is the new generator
+        elif isinstance(node, Zero):
+            out_id = out.zero()
+        elif isinstance(node, Add):
+            out_id = out.add(a_times(node.left), a_times(node.right))
+        elif isinstance(node, Mult):
+            inner = a_times(node.inner)
             spliced = _insert_at(out, inner, a, q.conclusions[node.inner], node.left)
-            return out.mult(_ONE, spliced, node.right)
-        if isinstance(node, Red):
+            out_id = out.mult(_ONE, spliced, node.right)
+        elif isinstance(node, Red):
             c = node.conclusion
-            inner = prod(pi, node.premise)  # concludes a*c*c
+            inner = a_times(node.premise)  # concludes a*c*c
             rotated = _rotate_at(out, inner, a * c, c)  # c*a*c
-            return out.red(out.mult(a, rotated, _ONE), a * c)
-        raise TransformError(f"unexpected node in nil witness: {node!r}")
+            out_id = out.red(out.mult(a, rotated, _ONE), a * c)
+        else:
+            raise TransformError(f"unexpected node in nil witness: {node!r}")
+        q_memo[qi] = out_id
+        return out_id
 
-    return out.build(prod(p.root, q.root))
+    return out.build(times_y(p.root))
 
 
 def nil_intersect(
@@ -334,13 +339,14 @@ def sqrt_product(
     """Family product: x in sqrt(U,a) and y in sqrt(U,b) give
     x*m*y in sqrt(U + family (a,b)), for any middle element m.
 
-    The recursion mirrors nil_product with the middle element threaded
-    through: Mult cases absorb their outer factor into m, and a
-    Semiprime premise (a witness of x*bound*x for every bound) is read
-    at bound := m*y*t for a t fresh for p, q and m and drawn once (t*a*m
-    on q's side), so that the recursive product becomes (x*m*y)*t*(x*m*y).
-    Nothing is copied: each side keeps its pending instances as (bound,
-    image) pairs, and every ring value read from that side goes through
+    The two inductions mirror nil_product's, times_y deriving x'*m*y and
+    a_times a*m*y', with the middle element threaded through: Mult cases
+    absorb their outer factor into m, and a Semiprime premise (a witness
+    of x*bound*x for every bound) is read at bound := m*y*t for a t fresh
+    for p, q and m and drawn once (t*a*m on q's side), so that the
+    recursive product becomes (x*m*y)*t*(x*m*y).  Nothing is copied:
+    each side keeps its own pending instances as (bound, image) pairs,
+    and every ring value read from that side goes through
     Poly.substitute.  Nothing can be captured either: each bound met is
     replaced and never written out, a later pair shadows an earlier one,
     and substitute replaces all bindings at once.
@@ -353,69 +359,71 @@ def sqrt_product(
     distinguished = len(common)
     new_family = len(families)
     taken = dict.fromkeys(dag_symbols(p, q) | m.symbols())
-    memo: dict[tuple[int, _Env, int, _Env, Poly], int] = {}
+    y = q.conclusion
+    p_memo: dict[tuple[int, _Env, Poly], int] = {}
+    q_memo: dict[tuple[int, _Env, Poly], int] = {}
 
-    def prod(pi: int, penv: _Env, qi: int, qenv: _Env, mid: Poly) -> int:
-        key = (pi, penv, qi, qenv, mid)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+    def times_y(pi: int, env: _Env, mid: Poly) -> int:
+        key = (pi, env, mid)
+        if key in p_memo:
+            return p_memo[key]
         node = p.nodes[pi]
-        sub = dict(penv)
-        y = q.conclusions[qi].substitute(dict(qenv))
+        sub = dict(env)
         if isinstance(node, Intro) and node.gen_index != distinguished:
             out_id = out.mult(_ONE, out.intro(node.gen_index), mid * y)
         elif isinstance(node, IntroFamily):
             copied = out.intro_family(node.family_index, node.instance.substitute(sub))
             out_id = out.mult(_ONE, copied, mid * y)
         elif isinstance(node, Intro):
-            out_id = prod_right(pi, penv, qi, qenv, mid)
+            out_id = a_times(q.root, (), mid)
         elif isinstance(node, Zero):
             out_id = out.zero()
         elif isinstance(node, Add):
-            out_id = out.add(
-                prod(node.left, penv, qi, qenv, mid), prod(node.right, penv, qi, qenv, mid)
-            )
+            out_id = out.add(times_y(node.left, env, mid), times_y(node.right, env, mid))
         elif isinstance(node, Mult):
-            inner = prod(node.inner, penv, qi, qenv, node.right.substitute(sub) * mid)
+            inner = times_y(node.inner, env, node.right.substitute(sub) * mid)
             out_id = out.mult(node.left.substitute(sub), inner, _ONE)
         elif isinstance(node, Semiprime):
             t = fresh_schematic(node.bound.name, taken)
-            instance = penv + ((node.bound, mid * y * Poly.symbol(t)),)
-            inner = prod(node.premise, instance, qi, qenv, mid)
+            instance = env + ((node.bound, mid * y * Poly.symbol(t)),)
+            inner = times_y(node.premise, instance, mid)
             out_id = out.semiprime(t, inner, node.conclusion.substitute(sub) * mid * y)
         else:
             raise TransformError(f"unexpected node in sqrt witness: {node!r}")
-        memo[key] = out_id
+        p_memo[key] = out_id
         return out_id
 
-    def prod_right(pi: int, penv: _Env, qi: int, qenv: _Env, mid: Poly) -> int:
+    def a_times(qi: int, env: _Env, mid: Poly) -> int:
+        key = (qi, env, mid)
+        if key in q_memo:
+            return q_memo[key]
         node = q.nodes[qi]
-        sub = dict(qenv)
+        sub = dict(env)
         if isinstance(node, Intro) and node.gen_index != distinguished:
-            return out.mult(a * mid, out.intro(node.gen_index), _ONE)
-        if isinstance(node, IntroFamily):
+            out_id = out.mult(a * mid, out.intro(node.gen_index), _ONE)
+        elif isinstance(node, IntroFamily):
             copied = out.intro_family(node.family_index, node.instance.substitute(sub))
-            return out.mult(a * mid, copied, _ONE)
-        if isinstance(node, Intro):
-            return out.intro_family(new_family, mid)  # concludes a*mid*b
-        if isinstance(node, Zero):
-            return out.zero()
-        if isinstance(node, Add):
-            return out.add(
-                prod(pi, penv, node.left, qenv, mid), prod(pi, penv, node.right, qenv, mid)
-            )
-        if isinstance(node, Mult):
-            inner = prod(pi, penv, node.inner, qenv, mid * node.left.substitute(sub))
-            return out.mult(_ONE, inner, node.right.substitute(sub))
-        if isinstance(node, Semiprime):
+            out_id = out.mult(a * mid, copied, _ONE)
+        elif isinstance(node, Intro):
+            out_id = out.intro_family(new_family, mid)  # concludes a*mid*b
+        elif isinstance(node, Zero):
+            out_id = out.zero()
+        elif isinstance(node, Add):
+            out_id = out.add(a_times(node.left, env, mid), a_times(node.right, env, mid))
+        elif isinstance(node, Mult):
+            inner = a_times(node.inner, env, mid * node.left.substitute(sub))
+            out_id = out.mult(_ONE, inner, node.right.substitute(sub))
+        elif isinstance(node, Semiprime):
             t = fresh_schematic(node.bound.name, taken)
-            instance = qenv + ((node.bound, Poly.symbol(t) * a * mid),)
-            inner = prod(pi, penv, node.premise, instance, mid)
-            return out.semiprime(t, inner, a * mid * node.conclusion.substitute(sub))
-        raise TransformError(f"unexpected node in sqrt witness: {node!r}")
+            instance = env + ((node.bound, Poly.symbol(t) * a * mid),)
+            inner = a_times(node.premise, instance, mid)
+            out_id = out.semiprime(t, inner, a * mid * node.conclusion.substitute(sub))
+        else:
+            raise TransformError(f"unexpected node in sqrt witness: {node!r}")
+        q_memo[key] = out_id
+        return out_id
 
-    return out.build(prod(p.root, (), q.root, (), m))
+    return out.build(times_y(p.root, (), m))
 
 
 def sqrt_intersect(

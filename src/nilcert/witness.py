@@ -248,38 +248,27 @@ def substitute_schematic(
         raise WitnessError("only schematic symbols can be substituted in a witness")
     builder = DagBuilder(dag.setting, dag.generators, max_nodes)
     taken = dict.fromkeys(dag_symbols(dag) | value.symbols())
-    root = _subst_node(dag, dag.root, {sym: value}, builder, {}, taken)
-    return builder.build(root)
+    memo: dict[tuple[int, frozenset], int] = {}
 
+    def subst(node_id: int, env: Mapping[Symbol, Poly]) -> int:
+        key = (node_id, frozenset(env.items()))
+        if key in memo:
+            return memo[key]
+        node = dag.nodes[node_id]
+        if isinstance(node, Semiprime):
+            bound = node.bound
+            if bound in env or any(image.mentions(bound) for image in env.values()):
+                fresh = fresh_schematic(bound.name, taken)
+                env = {**env, bound: Poly.symbol(fresh)}
+                bound = fresh
+            premise = subst(node.premise, env)
+            out = builder.semiprime(bound, premise, node.conclusion.substitute(env))
+        else:
+            out = builder.add_node(map_fields(node, {
+                REF: lambda ref: subst(ref, env),
+                POLY: lambda poly: poly.substitute(env),
+            }))
+        memo[key] = out
+        return out
 
-def _subst_node(
-    dag: WitnessDag,
-    node_id: int,
-    env: Mapping[Symbol, Poly],
-    builder: DagBuilder,
-    memo: dict,
-    taken: dict,
-) -> int:
-    key = (node_id, frozenset(env.items()))
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    node = dag.nodes[node_id]
-    if isinstance(node, Semiprime):
-        bound = node.bound
-        inner_env = env
-        shadowed = bound in env
-        captured = any(image.mentions(bound) for image in env.values())
-        if shadowed or captured:
-            fresh = fresh_schematic(bound.name, taken)
-            inner_env = {**env, bound: Poly.symbol(fresh)}
-            bound = fresh
-        premise = _subst_node(dag, node.premise, inner_env, builder, memo, taken)
-        out = builder.semiprime(bound, premise, node.conclusion.substitute(inner_env))
-    else:
-        out = builder.add_node(map_fields(node, {
-            REF: lambda ref: _subst_node(dag, ref, env, builder, memo, taken),
-            POLY: lambda poly: poly.substitute(env),
-        }))
-    memo[key] = out
-    return out
+    return builder.build(subst(dag.root, {sym: value}))

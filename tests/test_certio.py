@@ -78,6 +78,22 @@ def test_round_trip_preserves_everything():
         assert serialize(back) == data
 
 
+def test_round_trip_of_bool_ids_and_indices():
+    # bool is an int, so the builder and the checker accept True and False
+    # as ids and indices; the writer must still spell them as JSON integers
+    b = DagBuilder(NIL, GeneratorSet((x, y)))
+    b.intro(False), b.intro(True)
+    dag = b.build(b.add(True, False))
+    assert [type(v) for node in dag.nodes for v in node[:-1]] == [bool] * 4
+    cert = certificate_from_dag(dag)
+    assert check_certificate(cert).ok
+    data = serialize(cert)
+    assert b'"gen":0' in data and b'"left":1' in data
+    back = deserialize(data)
+    assert back == cert
+    assert serialize(back) == data
+
+
 def test_round_trip_random_witnesses():
     rng = random.Random(37)
     names = ("x", "y")
@@ -227,6 +243,8 @@ def test_deserialize_rejects_unsupported_version():
     obj["version"] = 2
     with pytest.raises(UnsupportedVersionError):
         deserialize(json.dumps(obj).encode())
+    with pytest.raises(UnsupportedVersionError):
+        serialize(small_cert()._replace(version=2))
 
 
 def mutate(field_path, value) -> bytes:

@@ -115,6 +115,11 @@ def test_wrong_setting():
     )
     assert (verdict.reason, verdict.node) == (WRONG_SETTING, 0)
 
+    z = Symbol.decode("z#0")
+    verdict = verdict_of(raw("nil", GeneratorSet((x,)), [Intro(0), Semiprime(z, 0, x)], x, 1))
+    assert (verdict.reason, verdict.node) == (WRONG_SETTING, 1)
+    assert "Semiprime outside sqrt setting" in str(verdict)
+
 
 def test_gen_index():
     verdict = verdict_of(raw("nil", GeneratorSet((x,)), [Intro(3)], x, 0))

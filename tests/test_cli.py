@@ -208,6 +208,11 @@ def test_golden_intersect_bytes_hold_after_other_library_calls():
 def test_usage_errors():
     assert run().returncode == 2
     assert run("frobnicate").returncode == 2
+    # the setting comes from the problem file and the certificates only
+    for command in (["product", "prob.txt"], ["intersect"]):
+        result = run(*command, "p.json", "q.json", "--setting", "nil")
+        assert result.returncode == 2
+        assert "unrecognized arguments: --setting" in result.stderr
 
 
 def main_in_process(argv):
@@ -524,6 +529,27 @@ def test_intersect_rejects_different_claims(tmp_path):
     result = run("intersect", str(tmp_path / "p.json"), str(tmp_path / "q.json"))
     assert result.returncode == 1
     assert "different elements" in result.stderr
+
+
+def test_witnesses_too_deep_to_transform_exit_1(tmp_path):
+    # Intro(x) under 1,200 nested Mult(1, ., x): the checker reads it without
+    # recursion, but a product recurses once per level and runs out of stack
+    b = DagBuilder(NIL, GeneratorSet((x,)))
+    node = b.intro(0)
+    for _ in range(1200):
+        node = b.mult(one, node, x)
+    deep = b.build(node)
+    (tmp_path / "deep.json").write_bytes(serialize(certificate_from_dag(deep, symbols=("x", "y"))))
+    write_intro_cert(tmp_path / "y.json", NIL, (y,), symbols=("x", "y"))
+    write_intro_cert(tmp_path / "same.json", NIL, (deep.conclusion,), symbols=("x", "y"))
+    (tmp_path / "prob.txt").write_text(NIL_PROBLEM)
+    assert run("check", "deep.json", cwd=tmp_path).returncode == 0
+    for argv in (["product", "prob.txt", "deep.json", "y.json"],
+                 ["intersect", "deep.json", "same.json"]):
+        result = run(*argv, cwd=tmp_path)
+        assert result.returncode == 1
+        assert "nesting depth" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 # -- node budget ---------------------------------------------------------------

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import nilcert
 import witgen
 from nilcert import (
     BudgetExceededError,
@@ -40,6 +45,7 @@ from nilcert.transforms import (
     TransformError,
 )
 from nilcert.certificate import Red, Semiprime
+from nilcert.witness import dag_symbols, substitute_schematic
 
 x, y, z = (Poly.symbol(base_symbol(n)) for n in "xyz")
 one = Poly.one()
@@ -297,7 +303,7 @@ def test_nil_product_budget():
 
 def test_nil_product_translates_essential_red_nodes_on_both_sides():
     # no earlier node concludes c (or d), so each Red is its own
-    # translation: prod's Red branch on p, _prod_right's on q
+    # translation: times_y's Red branch on p, a_times's on q
     c, d = x + y, x - z
     pb = DagBuilder(NIL, GeneratorSet((c * c,)))
     p = pb.build(pb.red(pb.intro(0), c))
@@ -306,8 +312,8 @@ def test_nil_product_translates_essential_red_nodes_on_both_sides():
     out = nil_product(p, q)
     assert out.conclusion == c * d
     reds = {node.conclusion for node in out.nodes if isinstance(node, Red)}
-    assert c * d in reds  # prod's Red, to c*y with y = d
-    assert c * c * d in reds  # _prod_right's Red, to a*d with a = c*c
+    assert c * d in reds  # times_y's Red, to c*y with y = d
+    assert c * c * d in reds  # a_times's Red, to a*d with a = c*c
     assert_valid(out)
 
 
@@ -323,6 +329,28 @@ def test_nil_product_reads_each_conclusion_once():
     assert out.conclusion == x * y
     assert len(out) == len(nil_product(product_witness("x"), product_witness("y"))) == 1
     assert_valid(out)
+
+
+def mult_chain(setting, gen, depth):
+    """Intro(gen) under depth nested Mult(1, ., gen) nodes."""
+    b = DagBuilder(setting, GeneratorSet((gen,)))
+    node = b.intro(0)
+    for _ in range(depth):
+        node = b.mult(one, node, gen)
+    return b.build(node)
+
+
+def test_products_translate_deep_chains_on_either_side():
+    # each level of either witness costs the recursion one frame, so a
+    # 900-deep chain fits under the interpreter's default limit on both
+    # sides (q's side took two frames a level, and overflowed near 490)
+    for setting, product in ((NIL, nil_product), (SQRT, lambda p, q: sqrt_product(p, q, one))):
+        deep_x, deep_y = mult_chain(setting, x, 900), mult_chain(setting, y, 900)
+        flat_x, flat_y = mult_chain(setting, x, 0), mult_chain(setting, y, 0)
+        for p, q in ((deep_x, flat_y), (flat_x, deep_y)):
+            out = product(p, q)
+            assert out.conclusion == p.conclusion * q.conclusion
+            assert_valid(out)
 
 
 def test_nil_intersect():
@@ -460,6 +488,17 @@ def test_sqrt_product_random_pairs():
         assert_valid(out)
 
 
+def test_sqrt_product_translates_q_once_per_middle():
+    # p reaches its distinguished generator twice with one middle but
+    # under different pending instances; q's translation reads neither,
+    # so it is made once, and draws its bound names once
+    rng = random.Random(691)
+    p, q = witgen.sqrt_pair(rng, ("x", "y"), rng.randint(1, 4), force_semiprime=True)
+    out = sqrt_product(p, q, x)
+    assert len(out) == 12
+    assert_valid(out)
+
+
 def test_sqrt_product_gives_the_same_bytes_every_call():
     rng = random.Random(20)
     mid = z * Poly.symbol(Symbol.decode("w#0"))  # the name witgen gives its bounds
@@ -468,6 +507,42 @@ def test_sqrt_product_gives_the_same_bytes_every_call():
         first, second = (sqrt_product(p, q, mid) for _ in range(2))
         assert serialize(certificate_from_dag(first)) == serialize(certificate_from_dag(second))
         assert_valid(first)
+
+
+def products_digest() -> str:
+    """One hash over the bytes of products and instantiations of 60 witgen pairs."""
+    digest = hashlib.sha256()
+    for seed in range(60):
+        rng = random.Random(seed)
+        if seed % 2:
+            p, q = witgen.sqrt_pair(rng, ("x", "y"), rng.randint(1, 4), force_semiprime=True)
+            outs = [sqrt_product(p, q, x)]
+        else:
+            p, q = witgen.nil_pair(rng, ("x", "y"), rng.randint(1, 4))
+            outs = [nil_product(p, q)]
+        for w in (p, q):
+            schematic = sorted((s for s in dag_symbols(w) if s.is_schematic), key=Symbol.encode)
+            outs += [substitute_schematic(w, s, x * y) for s in schematic]
+        for out in outs:
+            digest.update(serialize(certificate_from_dag(out)))
+    return digest.hexdigest()
+
+
+def test_products_give_the_same_bytes_in_any_process():
+    # the memos key dicts by Poly and by environment tuples, so the bytes must
+    # not follow hash order, and a second call must not see the first's memo
+    first = products_digest()
+    assert products_digest() == first
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nilcert.__file__)))
+    path = os.pathsep.join([src, os.path.dirname(os.path.abspath(__file__))])
+    for hash_seed in ("1", "2"):
+        result = subprocess.run(
+            [sys.executable, "-c", "import test_transforms as t; print(t.products_digest())"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == first + "\n"
 
 
 def test_sqrt_product_rejects_nil_inputs():

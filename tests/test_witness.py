@@ -105,6 +105,8 @@ def test_constructor_side_conditions():
     i = b.intro(0)
     with pytest.raises(WitnessError, match="not the square"):
         b.red(i, x)
+    with pytest.raises(WitnessError, match="Semiprime requires the sqrt setting"):
+        b.semiprime(z, b.mult(x * Poly.symbol(z), i, Poly.one()), x)
 
     s = DagBuilder(SQRT, GeneratorSet((x,), [(x, y)]))
     with pytest.raises(WitnessError, match="nil setting"):
