@@ -8,115 +8,48 @@ records), ``certificate`` (node kinds and the certificate reader and
 writer) and ``checker``; they import no other module of the package.
 Builders and transforms may be arbitrarily clever because their outputs
 are re-verified from scratch by the checker.
+
+Each public name loads its module on first use, so ``import nilcert``
+(and ``nilcert check``) compiles no more of the package than it runs.
 """
 
-from nilcert.certificate import (
-    NIL,
-    SQRT,
-    Certificate,
-    GeneratorSet,
-    MalformedCertificateError,
-    UnsupportedVersionError,
-    deserialize,
-    serialize,
-)
-from nilcert.certio import certificate_from_dag, dag_from_certificate
-from nilcert.checker import Verdict, check_certificate
-from nilcert.commutativity import (
-    CentralConstants,
-    ProofLog,
-    ProofStep,
-    central_roots_witness,
-    commutator_factor_witness,
-    emit_proof_log,
-    xn_demo,
-)
-from nilcert.lang import (
-    ParseError,
-    ProblemError,
-    ProblemFile,
-    UndeclaredIdentifierError,
-    parse_poly,
-    parse_problem,
-    print_poly,
-)
-from nilcert.ring import (
-    Poly,
-    Symbol,
-    base_symbol,
-    commutator,
-    fresh_schematic,
-    substitute,
-)
-from nilcert.transforms import (
-    Permutation,
-    TransformError,
-    insert,
-    nil_intersect,
-    nil_product,
-    permute,
-    rotate,
-    sqrt_intersect,
-    sqrt_product,
-)
-from nilcert.witness import (
-    BudgetExceededError,
-    DagBuilder,
-    WitnessDag,
-    WitnessError,
-    conclusion_of,
-    substitute_schematic,
-)
+from importlib import import_module as _import_module
+
+# each public name, in ``__all__`` order, and the module that defines it;
+# the module is imported when the name is first read
+_HOME = {
+    "NIL": "certificate", "SQRT": "certificate",
+    "Poly": "ring", "Symbol": "ring", "base_symbol": "ring", "fresh_schematic": "ring",
+    "commutator": "ring", "substitute": "ring",
+    "ParseError": "lang", "ProblemError": "lang", "UndeclaredIdentifierError": "lang",
+    "ProblemFile": "lang", "parse_poly": "lang", "print_poly": "lang", "parse_problem": "lang",
+    "GeneratorSet": "certificate",
+    "WitnessDag": "witness", "DagBuilder": "witness", "WitnessError": "witness",
+    "BudgetExceededError": "witness", "conclusion_of": "witness",
+    "substitute_schematic": "witness",
+    "Certificate": "certificate", "MalformedCertificateError": "certificate",
+    "UnsupportedVersionError": "certificate", "serialize": "certificate",
+    "deserialize": "certificate",
+    "certificate_from_dag": "certio", "dag_from_certificate": "certio",
+    "Verdict": "checker", "check_certificate": "checker",
+    "Permutation": "transforms", "TransformError": "transforms", "rotate": "transforms",
+    "insert": "transforms", "permute": "transforms", "nil_product": "transforms",
+    "nil_intersect": "transforms", "sqrt_product": "transforms", "sqrt_intersect": "transforms",
+    "CentralConstants": "commutativity", "ProofStep": "commutativity",
+    "ProofLog": "commutativity", "commutator_factor_witness": "commutativity",
+    "central_roots_witness": "commutativity", "xn_demo": "commutativity",
+    "emit_proof_log": "commutativity",
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "NIL",
-    "SQRT",
-    "Poly",
-    "Symbol",
-    "base_symbol",
-    "fresh_schematic",
-    "commutator",
-    "substitute",
-    "ParseError",
-    "ProblemError",
-    "UndeclaredIdentifierError",
-    "ProblemFile",
-    "parse_poly",
-    "print_poly",
-    "parse_problem",
-    "GeneratorSet",
-    "WitnessDag",
-    "DagBuilder",
-    "WitnessError",
-    "BudgetExceededError",
-    "conclusion_of",
-    "substitute_schematic",
-    "Certificate",
-    "MalformedCertificateError",
-    "UnsupportedVersionError",
-    "serialize",
-    "deserialize",
-    "certificate_from_dag",
-    "dag_from_certificate",
-    "Verdict",
-    "check_certificate",
-    "Permutation",
-    "TransformError",
-    "rotate",
-    "insert",
-    "permute",
-    "nil_product",
-    "nil_intersect",
-    "sqrt_product",
-    "sqrt_intersect",
-    "CentralConstants",
-    "ProofStep",
-    "ProofLog",
-    "commutator_factor_witness",
-    "central_roots_witness",
-    "xn_demo",
-    "emit_proof_log",
-    "__version__",
-]
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    """Resolve a public name from its defining module (PEP 562)."""
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_import_module(f"nilcert.{module}"), name)
+    return value

@@ -63,6 +63,7 @@ __all__ = [
     "NIL",
     "SQRT",
     "FORMAT_VERSION",
+    "DEFAULT_MAX_NODES",
     "Intro",
     "IntroFamily",
     "Zero",
@@ -85,6 +86,7 @@ NIL = "nil"
 SQRT = "sqrt"
 
 FORMAT_VERSION = 1
+DEFAULT_MAX_NODES = 10**6  # the node budget of a certificate or a built witness
 
 
 # -- node kinds -------------------------------------------------------

@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 a certificate or input combination is
 semantically invalid (diagnostic on stderr), 2 parse/IO/usage trouble.
 Certificates contain no timestamps, so every command's output is
 byte-reproducible.  NILCERT_MAX_NODES overrides the node budget.
+
+Only the trusted kernel is imported with this module, so ``check``
+runs on the kernel alone; each other command imports the layers it
+uses when it runs.
 """
 
 from __future__ import annotations
@@ -13,25 +17,22 @@ import functools
 import os
 import sys
 
-from nilcert.certificate import NIL, Certificate, GeneratorSet, deserialize, serialize
-from nilcert.certio import certificate_from_dag, dag_from_certificate
-from nilcert.checker import check_certificate
-from nilcert.commutativity import xn_demo
-from nilcert.lang import parse_poly, parse_problem
-from nilcert.ring import _NUMERAL, Poly
-from nilcert.transforms import (
-    Permutation,
-    TransformError,
-    fresh_middle,
-    nil_intersect,
-    nil_product,
-    permute,
-    sqrt_intersect,
-    sqrt_product,
+import nilcert
+from nilcert.certificate import (
+    DEFAULT_MAX_NODES, NIL, Certificate, GeneratorSet, deserialize, serialize,
 )
-from nilcert.witness import DEFAULT_MAX_NODES, WitnessDag, WitnessError
+from nilcert.checker import check_certificate
+from nilcert.ring import _NUMERAL, Poly
 
 __all__ = ["main"]
+
+
+def __getattr__(name: str):
+    """The package's public names, such as ``nil_intersect``, also
+    resolve here, loading their module on first use (PEP 562)."""
+    if name in nilcert._HOME:
+        return getattr(nilcert, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _fail(code: int, message: str) -> int:
@@ -63,6 +64,9 @@ def _load(path: str, max_nodes: int) -> Certificate:
 
 def _load_dag(path: str, max_nodes: int) -> tuple[Certificate, WitnessDag]:
     """Read a certificate file and build its DAG, checking it once."""
+    from nilcert.certio import dag_from_certificate
+    from nilcert.witness import WitnessError
+
     cert = _load(path, max_nodes)
     try:
         return cert, dag_from_certificate(cert, max_nodes)
@@ -72,6 +76,20 @@ def _load_dag(path: str, max_nodes: int) -> tuple[Certificate, WitnessDag]:
 
 class _InvalidInput(Exception):
     """Semantically bad input; maps to exit code 1."""
+
+
+def _transform(transform, *args):
+    """Call a transform; what it refuses is invalid input."""
+    from nilcert.transforms import TransformError
+    from nilcert.witness import WitnessError
+
+    try:
+        return transform(*args)
+    except (WitnessError, TransformError) as err:
+        raise _InvalidInput(str(err)) from None
+    except RecursionError:  # a transform recurses once per level of a witness
+        message = "witness nesting depth exceeds the transforms' recursion limit"
+        raise _InvalidInput(message) from None
 
 
 def _require_valid(cert: Certificate, context: str) -> None:
@@ -96,8 +114,10 @@ def _cmd_check(args, max_nodes: int) -> int:
 
 
 def _cmd_demo(args, max_nodes: int) -> int:
+    from nilcert.commutativity import xn_demo
+
     n = {"x2": 2, "x3": 3}[args.name]
-    cert, log = xn_demo(n)
+    cert, log = _transform(xn_demo, n)
     out = args.out or f"{args.name}.cert.json"
     log_out = args.log or f"{args.name}.log.md"
     _write_cert(cert, out)
@@ -124,6 +144,10 @@ def _require_setting(*settings: str) -> str:
 
 
 def _cmd_product(args, max_nodes: int) -> int:
+    from nilcert.certio import certificate_from_dag
+    from nilcert.lang import parse_poly, parse_problem
+    from nilcert.transforms import fresh_middle, nil_product, sqrt_product
+
     with open(args.problem, "r", encoding="utf-8") as handle:
         problem = parse_problem(handle.read())
     common, a, b = _split_product_generators(problem)
@@ -139,19 +163,23 @@ def _cmd_product(args, max_nodes: int) -> int:
     if setting == NIL:
         if args.m is not None:
             raise _InvalidInput("--m only applies to the sqrt setting")
-        out_dag = nil_product(p_dag, q_dag, max_nodes)
+        out_dag = _transform(nil_product, p_dag, q_dag, max_nodes)
     else:
         if args.m is not None:
             middle = parse_poly(args.m, problem.symbols)
         else:
             middle = Poly.symbol(fresh_middle(p_dag, q_dag))
-        out_dag = sqrt_product(p_dag, q_dag, middle, max_nodes)
+        out_dag = _transform(sqrt_product, p_dag, q_dag, middle, max_nodes)
     out_cert = certificate_from_dag(out_dag, symbols=problem.symbols)
     _write_cert(out_cert, args.out or "product.cert.json")
     return 0
 
 
 def _cmd_permute(args, max_nodes: int) -> int:
+    from nilcert.certio import certificate_from_dag
+    from nilcert.lang import parse_poly
+    from nilcert.transforms import Permutation, permute
+
     cert, dag = _load_dag(args.certificate, max_nodes)
     factor_srcs = [s.strip() for s in args.factors.split(";") if s.strip()]
     factors = [parse_poly(src, cert.symbols) for src in factor_srcs]
@@ -162,20 +190,23 @@ def _cmd_permute(args, max_nodes: int) -> int:
     sigma = Permutation(images)  # ValueError (exit 2) if not a bijection
     if sigma.n != len(factors):
         raise ValueError(f"--sigma has {sigma.n} entries for {len(factors)} factors")
-    out_dag = permute(dag, factors, sigma, max_nodes)
+    out_dag = _transform(permute, dag, factors, sigma, max_nodes)
     out_cert = certificate_from_dag(out_dag, symbols=cert.symbols)
     _write_cert(out_cert, args.out or "permuted.cert.json")
     return 0
 
 
 def _cmd_intersect(args, max_nodes: int) -> int:
+    from nilcert.certio import certificate_from_dag
+    from nilcert.transforms import nil_intersect, sqrt_intersect
+
     p_cert, p_dag = _load_dag(args.p_certificate, max_nodes)
     q_cert, q_dag = _load_dag(args.q_certificate, max_nodes)
     setting = _require_setting(p_cert.setting, q_cert.setting)
     if setting == NIL:
-        out_dag = nil_intersect(p_dag, q_dag, max_nodes)
+        out_dag = _transform(nil_intersect, p_dag, q_dag, max_nodes)
     else:
-        out_dag = sqrt_intersect(p_dag, q_dag, max_nodes)
+        out_dag = _transform(sqrt_intersect, p_dag, q_dag, max_nodes)
     symbols = p_cert.symbols + tuple(
         name for name in q_cert.symbols if name not in p_cert.symbols
     )
@@ -245,10 +276,8 @@ def main(argv=None) -> int:
             return _fail(2, f"NILCERT_MAX_NODES must be a positive integer, got {raw_budget!r}")
     try:
         return args.func(args, max_nodes)
-    except (_InvalidInput, WitnessError, TransformError) as err:
+    except _InvalidInput as err:
         return _fail(1, str(err))
-    except RecursionError:  # a transform recurses once per level of a witness
-        return _fail(1, "witness nesting depth exceeds the transforms' recursion limit")
     except (OSError, ValueError) as err:
         return _fail(2, str(err))
 

@@ -161,7 +161,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "int":
             self.take()
-            base = Poly.constant(int(tok.text))
+            base = Poly.constant(_integer(tok))
         elif tok.kind == "ident":
             self.take()
             sym = self.alphabet.get(tok.text)
@@ -184,9 +184,16 @@ class _Parser:
             raise ParseError(f"expected a factor, found {shown!r}", tok.line, tok.col)
         while self.peek().kind == "^":
             self.take()
-            exp = self.expect("int")
-            base = base ** int(exp.text)
+            base = base ** _integer(self.expect("int"))
         return base
+
+
+def _integer(tok: _Token) -> int:
+    try:
+        return int(tok.text)
+    except ValueError:  # more digits than the interpreter converts (sys.get_int_max_str_digits)
+        raise ParseError(f"integer literal of {len(tok.text)} digits is too long",
+                         tok.line, tok.col) from None
 
 
 def _alphabet(symbols) -> dict[str, Symbol]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Callable, Mapping
 
 from nilcert.certificate import (
+    DEFAULT_MAX_NODES,
     NIL,
     POLY,
     REF,
@@ -44,8 +45,6 @@ __all__ = [
     "dag_symbols",
     "substitute_schematic",
 ]
-
-DEFAULT_MAX_NODES = 10**6
 
 
 class WitnessError(Exception):

@@ -21,6 +21,7 @@ import nilcert
 import nilcert.certio as certio
 import nilcert.cli as cli
 import nilcert.lang as lang
+import nilcert.transforms as transforms
 from nilcert import (
     DagBuilder,
     GeneratorSet,
@@ -439,6 +440,18 @@ def test_deeply_nested_expressions_are_usage_errors(tmp_path):
     assert results[0].stderr.startswith("nilcert: line 3: in generators: ")
 
 
+def test_over_long_integer_literals_are_usage_errors(tmp_path):
+    long = "1" * 5000  # past the interpreter's int/str digit limit
+    (tmp_path / "long.txt").write_text(f"setting: nil\nsymbols: x; y\ngenerators: x; {long}*y\n")
+    write_intro_cert(tmp_path / "p.json", NIL, (x,), symbols=("x", "y"))
+    write_intro_cert(tmp_path / "q.json", NIL, (y,), symbols=("x", "y"))
+    result = run("product", "long.txt", "p.json", "q.json", cwd=tmp_path)
+    assert result.returncode == 2
+    assert result.stderr.startswith("nilcert: line 3: in generators: ")
+    assert "integer literal of 5000 digits is too long" in result.stderr
+    assert "set_int_max_str_digits" not in result.stderr
+
+
 # -- permute ------------------------------------------------------------------
 
 
@@ -637,8 +650,9 @@ def test_each_loaded_certificate_is_verified_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "check_certificate", counting_check)
     monkeypatch.setattr(certio, "check_certificate", counting_check)
     monkeypatch.setattr(DagBuilder, "_admit", counting_admit)
-    monkeypatch.setattr(cli, "permute", after_loading(cli.permute))
-    monkeypatch.setattr(cli, "nil_intersect", after_loading(cli.nil_intersect))
+    # the commands import the transforms when they run, so patch them at home
+    monkeypatch.setattr(transforms, "permute", after_loading(transforms.permute))
+    monkeypatch.setattr(transforms, "nil_intersect", after_loading(transforms.nil_intersect))
 
     code, _, err = main_in_process(
         ["permute", str(path), "--factors", "x; y; z", "--sigma", "1,2,3",

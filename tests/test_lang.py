@@ -86,6 +86,26 @@ def test_deep_nesting_is_a_parse_error(src):
     assert info.value.line == 1 and 1 < info.value.col < len(src)
 
 
+LONG = "1" * 5000  # past the interpreter's 4,300-digit int/str conversion limit
+
+
+@pytest.mark.parametrize(
+    "src, line, col",
+    [("x +\n" + LONG + "*y", 2, 1), ("x + y^" + LONG, 1, 7)],
+    ids=["factor", "exponent"],
+)
+def test_over_long_integer_literals_are_parse_errors(src, line, col):
+    with pytest.raises(ParseError, match="integer literal of 5000 digits is too long") as info:
+        parse_poly(src, XY)
+    assert (info.value.line, info.value.col) == (line, col)
+
+
+def test_over_long_integer_literals_in_a_problem_name_the_line():
+    with pytest.raises(ProblemError, match="integer literal of 5000 digits") as info:
+        parse_problem(f"setting: nil\nsymbols: x\ngenerators: {LONG}*x\n")
+    assert info.value.line == 3
+
+
 def _called_from_below(frames, call):
     """call(), run under ``frames`` extra stack frames."""
     return call() if frames == 0 else _called_from_below(frames - 1, call)
