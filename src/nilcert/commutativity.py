@@ -28,7 +28,7 @@ from nilcert.checker import check_certificate
 from nilcert.lang import print_poly
 from nilcert.record import Record
 from nilcert.ring import Poly, Symbol, base_symbol
-from nilcert.witness import DagBuilder, WitnessDag, WitnessError
+from nilcert.witness import DEFAULT_MAX_NODES, DagBuilder, WitnessDag, WitnessError
 from nilcert.transforms import nil_intersect
 
 __all__ = [
@@ -93,7 +93,8 @@ class ProofLog(Record):
         return "\n".join(lines) + "\n"
 
 
-def commutator_factor_witness(c: int, x: Symbol, y: Symbol) -> WitnessDag:
+def commutator_factor_witness(c: int, x: Symbol, y: Symbol,
+                              max_nodes: int = DEFAULT_MAX_NODES) -> WitnessDag:
     """Witness that x*y - y*x lies in Nil(x - c).
 
     (x-c)*y - y*(x-c) collapses to the commutator because the constant
@@ -102,7 +103,7 @@ def commutator_factor_witness(c: int, x: Symbol, y: Symbol) -> WitnessDag:
     xp = Poly.symbol(x)
     yp = Poly.symbol(y)
     factor = xp - Poly.constant(c)
-    builder = DagBuilder(NIL, GeneratorSet((factor,)))
+    builder = DagBuilder(NIL, GeneratorSet((factor,)), max_nodes)
     gen = builder.intro(0)
     left = builder.mult(Poly.one(), gen, yp)
     right = builder.mult(-yp, gen, Poly.one())
@@ -118,18 +119,18 @@ def central_roots_witness(cs: CentralConstants) -> Certificate:
     return certificate_from_dag(_central_roots_dag(cs), symbols=("x", "y"))
 
 
-def _central_roots_dag(cs: CentralConstants) -> WitnessDag:
+def _central_roots_dag(cs: CentralConstants, max_nodes: int = DEFAULT_MAX_NODES) -> WitnessDag:
     x, y = base_symbol("x"), base_symbol("y")
-    dag = commutator_factor_witness(cs.constants[0], x, y)
+    dag = commutator_factor_witness(cs.constants[0], x, y, max_nodes)
     for c in cs.constants[1:]:
-        dag = nil_intersect(dag, commutator_factor_witness(c, x, y))
+        dag = nil_intersect(dag, commutator_factor_witness(c, x, y, max_nodes), max_nodes)
     return dag
 
 
 _DEMOS = {2: (0, 1), 3: (0, 1, -1)}
 
 
-def xn_demo(n: int) -> tuple[Certificate, ProofLog]:
+def xn_demo(n: int, max_nodes: int = DEFAULT_MAX_NODES) -> tuple[Certificate, ProofLog]:
     """Certificate and proof log for: rings with x^n = x are commutative.
 
     Only n = 2 and n = 3 are offered; those are the exponents for which
@@ -141,7 +142,7 @@ def xn_demo(n: int) -> tuple[Certificate, ProofLog]:
             f"no all-integer linear factorization of x^{n} - x; supported: 2, 3"
         )
     # the certificate keeps the DAG's node ids, so its conclusions apply
-    dag = _central_roots_dag(CentralConstants(_DEMOS[n]))
+    dag = _central_roots_dag(CentralConstants(_DEMOS[n]), max_nodes)
     cert = certificate_from_dag(dag, symbols=("x", "y"))
     generator = print_poly(cert.generators.elements[0], cert.symbols)
     claim = print_poly(cert.claim, cert.symbols)

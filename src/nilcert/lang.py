@@ -35,6 +35,11 @@ __all__ = [
 ]
 
 
+def _quoted(text: str) -> str:
+    """Source text quoted for a diagnostic, cut after 40 characters."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
+
+
 class ParseError(ValueError):
     """Syntax error with 1-based line and column."""
 
@@ -47,7 +52,7 @@ class ParseError(ValueError):
 
 class UndeclaredIdentifierError(ParseError):
     def __init__(self, name: str, line: int, col: int):
-        super().__init__(f"undeclared identifier {name!r}", line, col)
+        super().__init__(f"undeclared identifier {_quoted(name)}", line, col)
         self.name = name
 
 
@@ -135,7 +140,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind != kind:
             shown = tok.text if tok.kind != "end" else "end of input"
-            raise ParseError(f"expected {kind!r}, found {shown!r}", tok.line, tok.col)
+            raise ParseError(f"expected {kind!r}, found {_quoted(shown)}", tok.line, tok.col)
         return self.take()
 
     def parse_poly(self) -> Poly:
@@ -222,7 +227,7 @@ def parse_poly(src: str, symbols) -> Poly:
         raise ParseError("expression nested too deeply", tok.line, tok.col) from None
     tok = parser.peek()
     if tok.kind != "end":
-        raise ParseError(f"trailing input starting at {tok.text!r}", tok.line, tok.col)
+        raise ParseError(f"trailing input starting at {_quoted(tok.text)}", tok.line, tok.col)
     return poly
 
 
@@ -264,9 +269,9 @@ def parse_problem(src: str) -> ProblemFile:
         key, sep, value = text.partition(":")
         key = key.strip()
         if not sep:
-            raise ProblemError(f"expected 'key: value', got {text!r}", lineno)
+            raise ProblemError(f"expected 'key: value', got {_quoted(text)}", lineno)
         if key not in _PROBLEM_KEYS:
-            raise ProblemError(f"unknown key {key!r}", lineno)
+            raise ProblemError(f"unknown key {_quoted(key)}", lineno)
         if key in fields:
             raise ProblemError(f"duplicate key {key!r}", lineno)
         fields[key] = value.strip()
@@ -276,12 +281,12 @@ def parse_problem(src: str) -> ProblemFile:
         raise ProblemError("missing required key 'setting'", len(src.splitlines()) + 1)
     setting = fields["setting"]
     if setting not in (NIL, SQRT):
-        raise ProblemError(f"setting must be nil or sqrt, got {setting!r}", lines["setting"])
+        raise ProblemError(f"setting must be nil or sqrt, got {_quoted(setting)}", lines["setting"])
 
     symbols = tuple(_split_items(fields.get("symbols", "")))
     for name in symbols:
         if not _NAME_RE.match(name):
-            raise ProblemError(f"invalid symbol name {name!r}", lines["symbols"])
+            raise ProblemError(f"invalid symbol name {_quoted(name)}", lines["symbols"])
     if len(set(symbols)) != len(symbols):
         raise ProblemError("duplicate symbol name", lines["symbols"])
 
@@ -292,7 +297,7 @@ def parse_problem(src: str) -> ProblemFile:
         left, sep, right = item.partition("|")
         if not sep or not left.strip() or not right.strip():
             raise ProblemError(
-                f"family must be written 'left | right', got {item!r}", lines["families"]
+                f"family must be written 'left | right', got {_quoted(item)}", lines["families"]
             )
         families.append((left.strip(), right.strip()))
     if families and setting != SQRT:
@@ -304,7 +309,7 @@ def parse_problem(src: str) -> ProblemFile:
         try:
             return parse_poly(expr, alphabet)
         except ParseError as err:
-            raise ProblemError(f"in {key}: {expr!r}: {err.message}", lines[key]) from err
+            raise ProblemError(f"in {key}: {_quoted(expr)}: {err.message}", lines[key]) from err
 
     claim = fields.get("claim")
     return ProblemFile(  # fields are evaluated, and so parsed, in order

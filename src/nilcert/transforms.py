@@ -12,10 +12,10 @@ witness of u*v:
     insert:  (u*r)*(v*u)*(r*v) = (u*r*v)^2,  so u*r*v is in the ideal
 
 Permutations reduce to a power-of-two trick over rotate and insert.
-A product is two inductions, one over each witness and each memoised
-on its own nodes, as described on each function.  A product's Red node
-takes a rotate and a one-sided multiple, no insert, so no step squares
-more than the rotated word.
+A product is two inductions, one over each witness, as described on
+each function, run by witness.induction at any depth.  A product's Red
+node takes a rotate and a one-sided multiple, no insert, so no step
+squares more than the rotated word.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from nilcert.certificate import (
 )
 from nilcert.record import Record
 from nilcert.ring import Poly, Symbol, fresh_schematic
-from nilcert.witness import DEFAULT_MAX_NODES, DagBuilder, WitnessDag, dag_symbols
+from nilcert.witness import DEFAULT_MAX_NODES, DagBuilder, WitnessDag, dag_symbols, induction
 
 __all__ = [
     "TransformError",
@@ -260,64 +260,54 @@ def nil_product(
     distinguished = len(common)
     p_first, q_first = _first_with_conclusion(p), _first_with_conclusion(q)
     y = q.conclusion
-    p_memo: dict[int, int] = {}
-    q_memo: dict[int, int] = {}
 
-    def times_y(pi: int) -> int:
-        pi = p_first[pi]
-        if pi in p_memo:
-            return p_memo[pi]
+    def times_y(pi: int):
+        if p_first[pi] != pi:
+            return (yield times_y, p_first[pi])
         node = p.nodes[pi]
         if isinstance(node, Intro) and node.gen_index != distinguished:
-            out_id = out.mult(_ONE, out.intro(node.gen_index), y)
-        elif isinstance(node, Intro):
-            out_id = a_times(q.root)
-        elif isinstance(node, Zero):
-            out_id = out.zero()
-        elif isinstance(node, Add):
-            out_id = out.add(times_y(node.left), times_y(node.right))
-        elif isinstance(node, Mult):
-            inner = times_y(node.inner)
+            return out.mult(_ONE, out.intro(node.gen_index), y)
+        if isinstance(node, Intro):
+            return (yield a_times, q.root)
+        if isinstance(node, Zero):
+            return out.zero()
+        if isinstance(node, Add):
+            return out.add((yield times_y, node.left), (yield times_y, node.right))
+        if isinstance(node, Mult):
+            inner = yield times_y, node.inner
             spliced = _insert_at(out, inner, p.conclusions[node.inner], y, node.right)
-            out_id = out.mult(node.left, spliced, _ONE)
-        elif isinstance(node, Red):
+            return out.mult(node.left, spliced, _ONE)
+        if isinstance(node, Red):
             c = node.conclusion
-            inner = times_y(node.premise)  # concludes c*c*y
+            inner = yield times_y, node.premise  # concludes c*c*y
             rotated = _rotate_at(out, inner, c, c * y)  # c*y*c
-            out_id = out.red(out.mult(_ONE, rotated, y), c * y)
-        else:
-            raise TransformError(f"unexpected node in nil witness: {node!r}")
-        p_memo[pi] = out_id
-        return out_id
+            return out.red(out.mult(_ONE, rotated, y), c * y)
+        raise TransformError(f"unexpected node in nil witness: {node!r}")
 
-    def a_times(qi: int) -> int:
-        qi = q_first[qi]
-        if qi in q_memo:
-            return q_memo[qi]
+    def a_times(qi: int):
+        if q_first[qi] != qi:
+            return (yield a_times, q_first[qi])
         node = q.nodes[qi]
         if isinstance(node, Intro) and node.gen_index != distinguished:
-            out_id = out.mult(a, out.intro(node.gen_index), _ONE)
-        elif isinstance(node, Intro):
-            out_id = out.intro(distinguished)  # a*b is the new generator
-        elif isinstance(node, Zero):
-            out_id = out.zero()
-        elif isinstance(node, Add):
-            out_id = out.add(a_times(node.left), a_times(node.right))
-        elif isinstance(node, Mult):
-            inner = a_times(node.inner)
+            return out.mult(a, out.intro(node.gen_index), _ONE)
+        if isinstance(node, Intro):
+            return out.intro(distinguished)  # a*b is the new generator
+        if isinstance(node, Zero):
+            return out.zero()
+        if isinstance(node, Add):
+            return out.add((yield a_times, node.left), (yield a_times, node.right))
+        if isinstance(node, Mult):
+            inner = yield a_times, node.inner
             spliced = _insert_at(out, inner, a, q.conclusions[node.inner], node.left)
-            out_id = out.mult(_ONE, spliced, node.right)
-        elif isinstance(node, Red):
+            return out.mult(_ONE, spliced, node.right)
+        if isinstance(node, Red):
             c = node.conclusion
-            inner = a_times(node.premise)  # concludes a*c*c
+            inner = yield a_times, node.premise  # concludes a*c*c
             rotated = _rotate_at(out, inner, a * c, c)  # c*a*c
-            out_id = out.red(out.mult(a, rotated, _ONE), a * c)
-        else:
-            raise TransformError(f"unexpected node in nil witness: {node!r}")
-        q_memo[qi] = out_id
-        return out_id
+            return out.red(out.mult(a, rotated, _ONE), a * c)
+        raise TransformError(f"unexpected node in nil witness: {node!r}")
 
-    return out.build(times_y(p.root))
+    return out.build(induction(times_y, p.root))
 
 
 def nil_intersect(
@@ -360,70 +350,58 @@ def sqrt_product(
     new_family = len(families)
     taken = dict.fromkeys(dag_symbols(p, q) | m.symbols())
     y = q.conclusion
-    p_memo: dict[tuple[int, _Env, Poly], int] = {}
-    q_memo: dict[tuple[int, _Env, Poly], int] = {}
 
-    def times_y(pi: int, env: _Env, mid: Poly) -> int:
-        key = (pi, env, mid)
-        if key in p_memo:
-            return p_memo[key]
+    def times_y(pi: int, env: _Env, mid: Poly):
         node = p.nodes[pi]
         sub = dict(env)
         if isinstance(node, Intro) and node.gen_index != distinguished:
-            out_id = out.mult(_ONE, out.intro(node.gen_index), mid * y)
-        elif isinstance(node, IntroFamily):
+            return out.mult(_ONE, out.intro(node.gen_index), mid * y)
+        if isinstance(node, IntroFamily):
             copied = out.intro_family(node.family_index, node.instance.substitute(sub))
-            out_id = out.mult(_ONE, copied, mid * y)
-        elif isinstance(node, Intro):
-            out_id = a_times(q.root, (), mid)
-        elif isinstance(node, Zero):
-            out_id = out.zero()
-        elif isinstance(node, Add):
-            out_id = out.add(times_y(node.left, env, mid), times_y(node.right, env, mid))
-        elif isinstance(node, Mult):
-            inner = times_y(node.inner, env, node.right.substitute(sub) * mid)
-            out_id = out.mult(node.left.substitute(sub), inner, _ONE)
-        elif isinstance(node, Semiprime):
+            return out.mult(_ONE, copied, mid * y)
+        if isinstance(node, Intro):
+            return (yield a_times, q.root, (), mid)
+        if isinstance(node, Zero):
+            return out.zero()
+        if isinstance(node, Add):
+            left = yield times_y, node.left, env, mid
+            return out.add(left, (yield times_y, node.right, env, mid))
+        if isinstance(node, Mult):
+            inner = yield times_y, node.inner, env, node.right.substitute(sub) * mid
+            return out.mult(node.left.substitute(sub), inner, _ONE)
+        if isinstance(node, Semiprime):
             t = fresh_schematic(node.bound.name, taken)
             instance = env + ((node.bound, mid * y * Poly.symbol(t)),)
-            inner = times_y(node.premise, instance, mid)
-            out_id = out.semiprime(t, inner, node.conclusion.substitute(sub) * mid * y)
-        else:
-            raise TransformError(f"unexpected node in sqrt witness: {node!r}")
-        p_memo[key] = out_id
-        return out_id
+            inner = yield times_y, node.premise, instance, mid
+            return out.semiprime(t, inner, node.conclusion.substitute(sub) * mid * y)
+        raise TransformError(f"unexpected node in sqrt witness: {node!r}")
 
-    def a_times(qi: int, env: _Env, mid: Poly) -> int:
-        key = (qi, env, mid)
-        if key in q_memo:
-            return q_memo[key]
+    def a_times(qi: int, env: _Env, mid: Poly):
         node = q.nodes[qi]
         sub = dict(env)
         if isinstance(node, Intro) and node.gen_index != distinguished:
-            out_id = out.mult(a * mid, out.intro(node.gen_index), _ONE)
-        elif isinstance(node, IntroFamily):
+            return out.mult(a * mid, out.intro(node.gen_index), _ONE)
+        if isinstance(node, IntroFamily):
             copied = out.intro_family(node.family_index, node.instance.substitute(sub))
-            out_id = out.mult(a * mid, copied, _ONE)
-        elif isinstance(node, Intro):
-            out_id = out.intro_family(new_family, mid)  # concludes a*mid*b
-        elif isinstance(node, Zero):
-            out_id = out.zero()
-        elif isinstance(node, Add):
-            out_id = out.add(a_times(node.left, env, mid), a_times(node.right, env, mid))
-        elif isinstance(node, Mult):
-            inner = a_times(node.inner, env, mid * node.left.substitute(sub))
-            out_id = out.mult(_ONE, inner, node.right.substitute(sub))
-        elif isinstance(node, Semiprime):
+            return out.mult(a * mid, copied, _ONE)
+        if isinstance(node, Intro):
+            return out.intro_family(new_family, mid)  # concludes a*mid*b
+        if isinstance(node, Zero):
+            return out.zero()
+        if isinstance(node, Add):
+            left = yield a_times, node.left, env, mid
+            return out.add(left, (yield a_times, node.right, env, mid))
+        if isinstance(node, Mult):
+            inner = yield a_times, node.inner, env, mid * node.left.substitute(sub)
+            return out.mult(_ONE, inner, node.right.substitute(sub))
+        if isinstance(node, Semiprime):
             t = fresh_schematic(node.bound.name, taken)
             instance = env + ((node.bound, Poly.symbol(t) * a * mid),)
-            inner = a_times(node.premise, instance, mid)
-            out_id = out.semiprime(t, inner, a * mid * node.conclusion.substitute(sub))
-        else:
-            raise TransformError(f"unexpected node in sqrt witness: {node!r}")
-        q_memo[key] = out_id
-        return out_id
+            inner = yield a_times, node.premise, instance, mid
+            return out.semiprime(t, inner, a * mid * node.conclusion.substitute(sub))
+        raise TransformError(f"unexpected node in sqrt witness: {node!r}")
 
-    return out.build(times_y(p.root, (), m))
+    return out.build(induction(times_y, p.root, (), m))
 
 
 def sqrt_intersect(

@@ -10,7 +10,7 @@ trusting any of this.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Callable, Generator
 
 from nilcert.certificate import (
     DEFAULT_MAX_NODES,
@@ -218,6 +218,27 @@ class DagBuilder:
         )
 
 
+def induction(fn: Callable[..., Generator], *args):
+    """fn(*args), where fn and what it calls are generator functions in which
+    ``yield g, *xs`` is the call g(*xs) and ``return`` gives the result.  Each
+    distinct call runs once; suspended calls wait on a list, not on frames."""
+    memo, result = {}, None
+    stack = [((fn, *args), fn(*args))]
+    while stack:
+        call, gen = stack[-1]
+        try:
+            inner = gen.send(result)
+        except StopIteration as done:
+            memo[call] = result = done.value
+            stack.pop()
+            continue
+        if inner not in memo:
+            stack.append((inner, inner[0](*inner[1:])))
+        result = memo.get(inner)  # None starts a new call
+    return result
+
+
+_REFS = field_getters(REF)
 _SYMBOLS = field_getters(SYMBOL)
 
 
@@ -247,27 +268,24 @@ def substitute_schematic(
         raise WitnessError("only schematic symbols can be substituted in a witness")
     builder = DagBuilder(dag.setting, dag.generators, max_nodes)
     taken = dict.fromkeys(dag_symbols(dag) | value.symbols())
-    memo: dict[tuple[int, frozenset], int] = {}
 
-    def subst(node_id: int, env: Mapping[Symbol, Poly]) -> int:
-        key = (node_id, frozenset(env.items()))
-        if key in memo:
-            return memo[key]
+    def subst(node_id: int, env: frozenset):
         node = dag.nodes[node_id]
+        sub = dict(env)
         if isinstance(node, Semiprime):
             bound = node.bound
-            if bound in env or any(image.mentions(bound) for image in env.values()):
+            if bound in sub or any(image.mentions(bound) for image in sub.values()):
                 fresh = fresh_schematic(bound.name, taken)
-                env = {**env, bound: Poly.symbol(fresh)}
+                sub[bound] = Poly.symbol(fresh)
                 bound = fresh
-            premise = subst(node.premise, env)
-            out = builder.semiprime(bound, premise, node.conclusion.substitute(env))
-        else:
-            out = builder.add_node(map_fields(node, {
-                REF: lambda ref: subst(ref, env),
-                POLY: lambda poly: poly.substitute(env),
-            }))
-        memo[key] = out
-        return out
+            premise = yield subst, node.premise, frozenset(sub.items())
+            return builder.semiprime(bound, premise, node.conclusion.substitute(sub))
+        images = {}
+        for ref in _REFS[type(node)](node):
+            images[ref] = yield subst, ref, env
+        return builder.add_node(map_fields(node, {
+            REF: images.__getitem__,
+            POLY: lambda poly: poly.substitute(sub),
+        }))
 
-    return builder.build(subst(dag.root, {sym: value}))
+    return builder.build(induction(subst, dag.root, frozenset({(sym, value)})))

@@ -449,6 +449,7 @@ def test_over_long_integer_literals_are_usage_errors(tmp_path):
     assert result.returncode == 2
     assert result.stderr.startswith("nilcert: line 3: in generators: ")
     assert "integer literal of 5000 digits is too long" in result.stderr
+    assert len(result.stderr.encode()) < 300
     assert "set_int_max_str_digits" not in result.stderr
 
 
@@ -544,9 +545,9 @@ def test_intersect_rejects_different_claims(tmp_path):
     assert "different elements" in result.stderr
 
 
-def test_witnesses_too_deep_to_transform_exit_1(tmp_path):
-    # Intro(x) under 1,200 nested Mult(1, ., x): the checker reads it without
-    # recursion, but a product recurses once per level and runs out of stack
+def test_witnesses_of_any_depth_transform(tmp_path):
+    # Intro(x) under 1,200 nested Mult(1, ., x): deeper than the interpreter's
+    # recursion limit, which the checker and the transforms never reach
     b = DagBuilder(NIL, GeneratorSet((x,)))
     node = b.intro(0)
     for _ in range(1200):
@@ -557,12 +558,11 @@ def test_witnesses_too_deep_to_transform_exit_1(tmp_path):
     write_intro_cert(tmp_path / "same.json", NIL, (deep.conclusion,), symbols=("x", "y"))
     (tmp_path / "prob.txt").write_text(NIL_PROBLEM)
     assert run("check", "deep.json", cwd=tmp_path).returncode == 0
-    for argv in (["product", "prob.txt", "deep.json", "y.json"],
-                 ["intersect", "deep.json", "same.json"]):
+    for argv in (["product", "prob.txt", "deep.json", "y.json", "-o", "out.json"],
+                 ["intersect", "deep.json", "same.json", "-o", "out.json"]):
         result = run(*argv, cwd=tmp_path)
-        assert result.returncode == 1
-        assert "nesting depth" in result.stderr
-        assert "Traceback" not in result.stderr
+        assert result.returncode == 0, result.stderr
+        assert run("check", "out.json", cwd=tmp_path).returncode == 0
 
 
 # -- node budget ---------------------------------------------------------------
@@ -599,6 +599,12 @@ def test_budget_env_caps_construction(tmp_path):
 
     relaxed = run("product", "prob.txt", "p.json", "q.json", cwd=tmp_path)
     assert relaxed.returncode == 0
+
+    demo = run("demo", "x2", cwd=tmp_path, env_extra={"NILCERT_MAX_NODES": "3"})
+    assert demo.returncode == 1
+    assert "budget" in demo.stderr
+    assert not (tmp_path / "x2.cert.json").exists()
+    assert run("demo", "x2", cwd=tmp_path).returncode == 0
 
 
 def test_budget_env_caps_loaded_certificates(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -106,6 +107,20 @@ def test_over_long_integer_literals_in_a_problem_name_the_line():
     assert info.value.line == 3
 
 
+@pytest.mark.parametrize("src", [
+    f"setting: nil\nsymbols: x\ngenerators: {LONG}*x\n",
+    f"setting: nil\nsymbols: x\ngenerators: x*{'q' * 5000}\n",
+    f"setting: nil\nsymbols: x\ngenerators: x {LONG}\n",
+    f"setting: nil\nsymbols: x\ngenerators: (x {LONG})\n",
+    f"setting: nil\n{'k' * 5000}\n",
+    f"setting: {'n' * 5000}\n",
+], ids=["literal", "identifier", "trailing", "bracket", "line", "value"])
+def test_problem_errors_quote_a_bounded_excerpt(src):
+    with pytest.raises(ProblemError) as info:
+        parse_problem(src)
+    assert len(str(info.value)) < 300
+
+
 def _called_from_below(frames, call):
     """call(), run under ``frames`` extra stack frames."""
     return call() if frames == 0 else _called_from_below(frames - 1, call)
@@ -127,6 +142,18 @@ def test_the_nesting_limit_does_not_depend_on_the_callers_stack(opening):
     # the error names the first bracket past the limit
     col = len(opening) * MAX_NESTING + len(opening)
     assert errors == [("expression nested too deeply", 1, col)] * 2
+
+
+def test_a_caller_near_the_recursion_limit_gets_a_parse_error():
+    # MAX_NESTING brackets take about 3 * MAX_NESTING parser frames, more
+    # than a caller 100 frames below the limit leaves
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    at_limit = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    with pytest.raises(ParseError, match="expression nested too deeply"):
+        _called_from_below(sys.getrecursionlimit() - depth - 100,
+                           lambda: parse_poly(at_limit, XY))
 
 
 def test_undeclared_identifier():

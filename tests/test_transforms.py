@@ -331,25 +331,42 @@ def test_nil_product_reads_each_conclusion_once():
     assert_valid(out)
 
 
-def mult_chain(setting, gen, depth):
-    """Intro(gen) under depth nested Mult(1, ., gen) nodes."""
+def chain(setting, gen, depth, step):
+    """Intro(gen) under depth nested step(builder, inner, leaf) nodes."""
     b = DagBuilder(setting, GeneratorSet((gen,)))
-    node = b.intro(0)
+    node = leaf = b.intro(0)
     for _ in range(depth):
-        node = b.mult(one, node, gen)
+        node = step(b, node, leaf)
     return b.build(node)
 
 
+def times_gen(b, inner, leaf):
+    return b.mult(one, inner, b.conclusion(leaf))
+
+
+def plus_leaf(b, inner, leaf):
+    return b.add(inner, leaf)
+
+
+def times_one(b, inner, leaf):
+    return b.mult(one, inner, one)
+
+
 def test_products_translate_deep_chains_on_either_side():
-    # each level of either witness costs the recursion one frame, so a
-    # 900-deep chain fits under the interpreter's default limit on both
-    # sides (q's side took two frames a level, and overflowed near 490)
-    for setting, product in ((NIL, nil_product), (SQRT, lambda p, q: sqrt_product(p, q, one))):
-        deep_x, deep_y = mult_chain(setting, x, 900), mult_chain(setting, y, 900)
-        flat_x, flat_y = mult_chain(setting, x, 0), mult_chain(setting, y, 0)
+    # the inductions keep pending nodes on a list, not on the interpreter's
+    # stack, so no depth is too deep; Mult(1, ., gen) chains grow their words
+    # with the depth, and a nil Mult(1, ., 1) chain repeats its conclusion
+    for setting, depth, step in (
+        (NIL, 900, times_gen), (SQRT, 900, times_gen),
+        (NIL, 20_000, plus_leaf), (SQRT, 20_000, times_one),
+    ):
+        product = nil_product if setting == NIL else lambda p, q: sqrt_product(p, q, one)
+        deep_x, deep_y = chain(setting, x, depth, step), chain(setting, y, depth, step)
+        flat_x, flat_y = chain(setting, x, 0, None), chain(setting, y, 0, None)
         for p, q in ((deep_x, flat_y), (flat_x, deep_y)):
             out = product(p, q)
             assert out.conclusion == p.conclusion * q.conclusion
+            assert len(out) > depth
             assert_valid(out)
 
 
@@ -509,10 +526,10 @@ def test_sqrt_product_gives_the_same_bytes_every_call():
         assert_valid(first)
 
 
-def products_digest() -> str:
-    """One hash over the bytes of products and instantiations of 60 witgen pairs."""
+def products_digest(pairs: int = 60) -> str:
+    """One hash over the bytes of products and instantiations of witgen pairs."""
     digest = hashlib.sha256()
-    for seed in range(60):
+    for seed in range(pairs):
         rng = random.Random(seed)
         if seed % 2:
             p, q = witgen.sqrt_pair(rng, ("x", "y"), rng.randint(1, 4), force_semiprime=True)
@@ -543,6 +560,17 @@ def test_products_give_the_same_bytes_in_any_process():
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == first + "\n"
+
+
+# products_digest(200) as first recorded.  A change to the transforms, to
+# substitute_schematic or to witgen that alters these bytes on purpose
+# pins the new digest here and records the reason in CHANGES.md, as a
+# re-baselined golden does.
+PINNED_PRODUCTS_DIGEST = "1e289629fc36e86e59d1e7528bf8e569596e165aec0b1f1776f51424ae88863f"
+
+
+def test_products_keep_their_pinned_bytes():
+    assert products_digest(200) == PINNED_PRODUCTS_DIGEST
 
 
 def test_sqrt_product_rejects_nil_inputs():

@@ -193,6 +193,18 @@ def test_substitute_schematic_single_slot():
     assert out.generators == dag.generators
 
 
+def test_substitute_schematic_reads_any_depth():
+    # deeper than the interpreter's recursion limit: pending nodes wait on a list
+    z = Symbol.decode("z#0")
+    b = DagBuilder(SQRT, GeneratorSet((), ((x, y),)))
+    node = b.intro_family(0, Poly.symbol(z))
+    for _ in range(20_000):
+        node = b.mult(Poly.one(), node, Poly.one())
+    out = substitute_schematic(b.build(node), z, x)
+    assert out.conclusion == x * x * y
+    assert len(out) == 20_001
+
+
 def test_substitute_schematic_requires_schematic():
     b = DagBuilder(NIL, GENS)
     dag = b.build(b.zero())
