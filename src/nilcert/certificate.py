@@ -73,6 +73,7 @@ __all__ = [
     "Semiprime",
     "Node",
     "FIELDS",
+    "SETTING_OF",
     "GeneratorSet",
     "Certificate",
     "MalformedCertificateError",
@@ -142,6 +143,9 @@ Red = _kind("Red", ("premise", REF), ("conclusion", POLY))
 Semiprime = _kind("Semiprime", ("bound", SYMBOL), ("premise", REF), ("conclusion", POLY))
 
 Node = Union[Intro, IntroFamily, Zero, Add, Mult, Red, Semiprime]
+
+# the one setting that admits each setting-confined kind; other kinds serve both
+SETTING_OF = {IntroFamily: SQRT, Red: NIL, Semiprime: SQRT}
 
 # each kind's field positions by role
 _AT = {

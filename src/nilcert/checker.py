@@ -30,7 +30,8 @@ conclusion of every node, so callers reuse this one evaluation.
 from __future__ import annotations
 
 from nilcert.certificate import (
-    NIL, REF, SQRT, Add, Certificate, Intro, IntroFamily, Mult, Red, Semiprime, Zero, field_getters,
+    NIL, REF, SETTING_OF, SQRT, Add, Certificate, Intro, IntroFamily, Mult, Red, Semiprime, Zero,
+    field_getters,
 )
 from nilcert.record import Record
 from nilcert.ring import Poly
@@ -105,18 +106,12 @@ def check_certificate(cert: Certificate) -> Verdict:
         kind = type(node)
         if kind not in _CHILDREN:
             return _invalid(i, WRONG_SETTING, f"unknown node kind {kind.__name__}")
-        if kind is Intro:
-            if not 0 <= node.gen_index < len(gens.elements):
-                return _invalid(i, GEN_INDEX, f"generator index {node.gen_index}")
-        elif kind is IntroFamily:
-            if setting != SQRT:
-                return _invalid(i, WRONG_SETTING, "IntroFamily outside sqrt setting")
-            if not 0 <= node.family_index < len(gens.families):
-                return _invalid(i, GEN_INDEX, f"family index {node.family_index}")
-        elif kind is Red and setting != NIL:
-            return _invalid(i, WRONG_SETTING, "Red outside nil setting")
-        elif kind is Semiprime and setting != SQRT:
-            return _invalid(i, WRONG_SETTING, "Semiprime outside sqrt setting")
+        if SETTING_OF.get(kind, setting) != setting:
+            return _invalid(i, WRONG_SETTING, f"{kind.__name__} outside {SETTING_OF[kind]} setting")
+        if kind is Intro and not 0 <= node.gen_index < len(gens.elements):
+            return _invalid(i, GEN_INDEX, f"generator index {node.gen_index}")
+        if kind is IntroFamily and not 0 <= node.family_index < len(gens.families):
+            return _invalid(i, GEN_INDEX, f"family index {node.family_index}")
         for ref in _CHILDREN[kind](node):
             if not 0 <= ref < n:
                 return _invalid(i, BAD_REF, f"reference to unknown node {ref}")

@@ -127,7 +127,8 @@ def _central_roots_dag(cs: CentralConstants, max_nodes: int = DEFAULT_MAX_NODES)
     return dag
 
 
-_DEMOS = {2: (0, 1), 3: (0, 1, -1)}
+# n -> (the roots of x^n - x, the chain z = ... = 0 that follows from z^2 = 0)
+_DEMOS = {2: ((0, 1), "z^2"), 3: ((0, 1, -1), "z^3 = z*z^2")}
 
 
 def xn_demo(n: int, max_nodes: int = DEFAULT_MAX_NODES) -> tuple[Certificate, ProofLog]:
@@ -142,20 +143,15 @@ def xn_demo(n: int, max_nodes: int = DEFAULT_MAX_NODES) -> tuple[Certificate, Pr
             f"no all-integer linear factorization of x^{n} - x; supported: 2, 3"
         )
     # the certificate keeps the DAG's node ids, so its conclusions apply
-    dag = _central_roots_dag(CentralConstants(_DEMOS[n]), max_nodes)
+    roots, chain = _DEMOS[n]
+    dag = _central_roots_dag(CentralConstants(roots), max_nodes)
     cert = certificate_from_dag(dag, symbols=("x", "y"))
     generator = print_poly(cert.generators.elements[0], cert.symbols)
     claim = print_poly(cert.claim, cert.symbols)
-    if n == 3:
-        reduced = (
-            "In a ring where z^3 = z for every z, suppose z^2 = 0; "
-            "then z = z^3 = z*z^2 = 0. So the ring is reduced."
-        )
-    else:
-        reduced = (
-            "In a ring where z^2 = z for every z, suppose z^2 = 0; "
-            "then z = z^2 = 0. So the ring is reduced."
-        )
+    reduced = (
+        f"In a ring where z^{n} = z for every z, suppose z^2 = 0; "
+        f"then z = {chain} = 0. So the ring is reduced."
+    )
     steps = (
         ProofStep(reduced, "narrative"),
         *_replay_steps(cert, dag.conclusions),

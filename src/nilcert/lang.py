@@ -2,21 +2,26 @@
 
 Expression grammar::
 
-    poly   := term (('+' | '-') term)*
-    term   := ['-'] factor ('*' factor)*
-    factor := integer | ident | '(' poly ')' | factor '^' nat
-            | '[' poly ',' poly ']'
+    poly    := term (('+' | '-') term)*
+    term    := ['-'] factor ('*' factor)*
+    factor  := integer | ident | '(' poly ')' | factor '^' integer
+             | '[' poly ',' poly ']'
+    integer := ('0' | '1' | ... | '9')+
+    ident   := alpha (alnum | '_')*
 
-`*` is the noncommutative product and must be written explicitly;
-`[p, q]` denotes the commutator p*q - q*p.  Brackets nest at most
-MAX_NESTING deep.  Problem files are plain text, one `key: value` per
-line, with `;` separating list items and `#` starting a comment;
-parse_problem parses each expression once and returns the values, not
-the source strings.
+An integer has ASCII digits only.  In an ident, alpha and alnum are the
+characters for which str.isalpha() and str.isalnum() hold, and the
+ident must be declared in the alphabet.  `*` is the noncommutative
+product and must be written explicitly; `[p, q]` denotes the commutator
+p*q - q*p.  Brackets nest at most MAX_NESTING deep.  Problem files are
+plain text, one `key: value` per line, with `;` separating list items
+and `#` starting a comment; parse_problem parses each expression once
+and returns the values, not the source strings.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Mapping, Sequence
 
 from nilcert.certificate import NIL, SQRT
@@ -64,141 +69,113 @@ class ProblemError(ValueError):
         self.line = line
 
 
-_PUNCT = "+-*^()[],"
-
 # Brackets may nest this deep in an expression, whatever the caller's
 # stack depth; each level takes three parser frames.
 MAX_NESTING = 100
 
-
-class _Token(Record):
-    __slots__ = ()
-
-    def __new__(cls, kind: str, text: str, line: int, col: int):
-        # kind is "int", "ident", one of _PUNCT, or "end"
-        return tuple.__new__(cls, (kind, text, line, col))
+# Blanks, then one token: an ASCII integer (str.isdigit also takes other
+# scripts' digits), a word (\w is isalnum() or "_"), a punctuation mark,
+# any other character, or the end.
+_TOKEN = re.compile(r"[ \t\r\n]*(?:(?P<int>[0-9]+)|(?P<ident>\w+)|(?P<punct>[-+*^()\[\],])"
+                    r"|(?P<other>.)|(?P<end>\Z))", re.DOTALL)
 
 
-def _tokenize(src: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if "0" <= ch <= "9":  # ASCII only; str.isdigit also takes other scripts' digits
-            j = i
-            while j < len(src) and "0" <= src[j] <= "9":
-                j += 1
-            tokens.append(_Token("int", src[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", src[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(_Token("end", "", line, col))
+def _tokenize(src: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) per token; kind is "int", "ident", "end" or the mark."""
+    tokens = []
+    for match in _TOKEN.finditer(src):
+        kind = match.lastgroup
+        text, offset = match[kind], match.start(kind)
+        if kind == "other" or kind == "ident" and not text[0].isalpha():
+            raise ParseError(f"unexpected character {text[0]!r}", *_line_col(src, offset))
+        tokens.append((text if kind == "punct" else kind, text, offset))
     return tokens
 
 
+def _line_col(src: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of ``src[offset]``, for a diagnostic."""
+    return src.count("\n", 0, offset) + 1, offset - src.rfind("\n", 0, offset)
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token], alphabet: Mapping[str, Symbol]):
+    def __init__(self, src: str, tokens: list[tuple[str, str, int]],
+                 alphabet: Mapping[str, Symbol]):
+        self.src = src
         self.tokens = tokens
         self.pos = 0
         self.alphabet = alphabet
         self.depth = 0  # brackets open around the current factor
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
 
-    def take(self) -> _Token:
+    def take(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
+    def expect(self, kind: str) -> tuple[str, str, int]:
         tok = self.peek()
-        if tok.kind != kind:
-            shown = tok.text if tok.kind != "end" else "end of input"
-            raise ParseError(f"expected {kind!r}, found {_quoted(shown)}", tok.line, tok.col)
+        if tok[0] != kind:
+            shown = tok[1] if tok[0] != "end" else "end of input"
+            raise ParseError(f"expected {kind!r}, found {_quoted(shown)}",
+                             *_line_col(self.src, tok[2]))
         return self.take()
 
     def parse_poly(self) -> Poly:
         acc = self.parse_term()
-        while self.peek().kind in "+-":
-            op = self.take()
+        while self.peek()[0] in "+-":
+            op = self.take()[0]
             term = self.parse_term()
-            acc = acc + term if op.kind == "+" else acc - term
+            acc = acc + term if op == "+" else acc - term
         return acc
 
     def parse_term(self) -> Poly:
-        negate = False
-        if self.peek().kind == "-":
+        negate = self.peek()[0] == "-"
+        if negate:
             self.take()
-            negate = True
         acc = self.parse_factor()
-        while self.peek().kind == "*":
+        while self.peek()[0] == "*":
             self.take()
             acc = acc * self.parse_factor()
         return -acc if negate else acc
 
     def parse_factor(self) -> Poly:
-        tok = self.peek()
-        if tok.kind == "int":
+        kind, text, offset = tok = self.peek()
+        if kind == "int":
             self.take()
-            base = Poly.constant(_integer(tok))
-        elif tok.kind == "ident":
+            base = Poly.constant(self.integer(tok))
+        elif kind == "ident":
             self.take()
-            sym = self.alphabet.get(tok.text)
+            sym = self.alphabet.get(text)
             if sym is None:
-                raise UndeclaredIdentifierError(tok.text, tok.line, tok.col)
+                raise UndeclaredIdentifierError(text, *_line_col(self.src, offset))
             base = Poly.symbol(sym)
-        elif tok.kind in "([":
+        elif kind in "([":
             self.take()
             self.depth += 1
             if self.depth > MAX_NESTING:
-                raise ParseError("expression nested too deeply", tok.line, tok.col)
+                raise ParseError("expression nested too deeply", *_line_col(self.src, offset))
             base = self.parse_poly()
-            if tok.kind == "[":
+            if kind == "[":
                 self.expect(",")
                 base = commutator(base, self.parse_poly())
-            self.expect(")" if tok.kind == "(" else "]")
+            self.expect(")" if kind == "(" else "]")
             self.depth -= 1
         else:
-            shown = tok.text if tok.kind != "end" else "end of input"
-            raise ParseError(f"expected a factor, found {shown!r}", tok.line, tok.col)
-        while self.peek().kind == "^":
+            shown = text if kind != "end" else "end of input"
+            raise ParseError(f"expected a factor, found {shown!r}", *_line_col(self.src, offset))
+        while self.peek()[0] == "^":
             self.take()
-            base = base ** _integer(self.expect("int"))
+            base = base ** self.integer(self.expect("int"))
         return base
 
-
-def _integer(tok: _Token) -> int:
-    try:
-        return int(tok.text)
-    except ValueError:  # more digits than the interpreter converts (sys.get_int_max_str_digits)
-        raise ParseError(f"integer literal of {len(tok.text)} digits is too long",
-                         tok.line, tok.col) from None
+    def integer(self, tok: tuple[str, str, int]) -> int:
+        try:
+            return int(tok[1])
+        except ValueError:  # more digits than the interpreter converts (sys.get_int_max_str_digits)
+            raise ParseError(f"integer literal of {len(tok[1])} digits is too long",
+                             *_line_col(self.src, tok[2])) from None
 
 
 def _alphabet(symbols) -> dict[str, Symbol]:
@@ -219,15 +196,15 @@ def parse_poly(src: str, symbols) -> Poly:
     UndeclaredIdentifierError.  A bracket nested more than MAX_NESTING
     deep raises ParseError at that bracket.
     """
-    parser = _Parser(_tokenize(src), _alphabet(symbols))
+    parser = _Parser(src, _tokenize(src), _alphabet(symbols))
     try:
         poly = parser.parse_poly()
     except RecursionError:  # a caller within 3 * MAX_NESTING frames of the limit
-        tok = parser.peek()
-        raise ParseError("expression nested too deeply", tok.line, tok.col) from None
+        raise ParseError("expression nested too deeply",
+                         *_line_col(src, parser.peek()[2])) from None
     tok = parser.peek()
-    if tok.kind != "end":
-        raise ParseError(f"trailing input starting at {_quoted(tok.text)}", tok.line, tok.col)
+    if tok[0] != "end":
+        raise ParseError(f"trailing input starting at {_quoted(tok[1])}", *_line_col(src, tok[2]))
     return poly
 
 

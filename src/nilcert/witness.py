@@ -17,6 +17,7 @@ from nilcert.certificate import (
     NIL,
     POLY,
     REF,
+    SETTING_OF,
     SQRT,
     SYMBOL,
     Add,
@@ -154,13 +155,14 @@ class DagBuilder:
 
     def _admit(self, node: Node) -> Poly:
         """Verify the node's side conditions; return its conclusion."""
+        kind = type(node)
+        if SETTING_OF.get(kind, self.setting) != self.setting:
+            raise WitnessError(f"{kind.__name__} requires the {SETTING_OF[kind]} setting")
         if isinstance(node, Intro):
             if not 0 <= node.gen_index < len(self.generators.elements):
                 raise WitnessError(f"generator index {node.gen_index} out of range")
             return self.generators.elements[node.gen_index]
         if isinstance(node, IntroFamily):
-            if self.setting != SQRT:
-                raise WitnessError("IntroFamily requires the sqrt setting")
             if not 0 <= node.family_index < len(self.generators.families):
                 raise WitnessError(f"family index {node.family_index} out of range")
             left, right = self.generators.families[node.family_index]
@@ -172,8 +174,6 @@ class DagBuilder:
         if isinstance(node, Mult):
             return node.left * self._ref(node.inner) * node.right
         if isinstance(node, Red):
-            if self.setting != NIL:
-                raise WitnessError("Red requires the nil setting")
             premise = self._ref(node.premise)
             if premise != node.conclusion * node.conclusion:
                 raise WitnessError(
@@ -181,8 +181,6 @@ class DagBuilder:
                 )
             return node.conclusion
         if isinstance(node, Semiprime):
-            if self.setting != SQRT:
-                raise WitnessError("Semiprime requires the sqrt setting")
             if not node.bound.is_schematic:
                 raise WitnessError("Semiprime bound must be schematic")
             premise = self._ref(node.premise)
@@ -196,7 +194,7 @@ class DagBuilder:
             # generators were checked schematic-free at construction, so
             # the bound cannot occur there
             return c
-        raise WitnessError(f"unknown node kind {type(node).__name__}")
+        raise WitnessError(f"unknown node kind {kind.__name__}")
 
     # Convenience wrappers taking a kind's fields; transforms read better with these.
     intro = _adder(Intro)

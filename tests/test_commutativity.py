@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pathlib
+
 import pytest
 
 import oracle
@@ -20,6 +22,7 @@ from nilcert import (
     check_certificate,
     commutator,
     commutator_factor_witness,
+    deserialize,
     emit_proof_log,
     serialize,
     xn_demo,
@@ -28,6 +31,7 @@ from nilcert.commutativity import UnsupportedExponentError
 
 x = Poly.symbol(base_symbol("x"))
 y = Poly.symbol(base_symbol("y"))
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def test_central_constants_validation():
@@ -145,6 +149,18 @@ def test_emit_proof_log_replays_every_node():
     assert len(text.splitlines()) == len(cert.nodes)
     md = emit_proof_log(cert, style="markdown")
     assert all(line.startswith("- **certified.**") for line in md.splitlines())
+
+
+def test_emit_proof_log_of_a_sqrt_certificate_names_family_and_semiprime_steps():
+    cert = deserialize((GOLDEN / "intersect_sqrt.cert.json").read_bytes())
+    assert emit_proof_log(cert).splitlines() == [
+        "[certified] x*y*z#0*x*y is in sqrt(U): introduction from family 0 at instance "
+        "y*z#0*x. (node 0)",
+        "[certified] x*y*z#0*x*y is in sqrt(U): two-sided multiple of node 0. (node 1)",
+        "[certified] x*y*z#0*x*y is in sqrt(U): two-sided multiple of node 1. (node 2)",
+        "[certified] x*y is in sqrt(U): semiprime rule on node 2, quantified over the "
+        "schematic bound z#0. (node 3)",
+    ]
 
 
 def test_emit_proof_log_for_a_zero_only_certificate():

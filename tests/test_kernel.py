@@ -130,7 +130,7 @@ def test_a_verdict_runs_only_kernel_lines(fresh_trace):
 
 # Distinct lines a verdict runs in a fresh process; the kernel must not
 # grow to buy speed, so lower this bound whenever the kernel shrinks.
-KERNEL_LINES = 237
+KERNEL_LINES = 233
 
 
 def test_the_kernel_does_not_grow(fresh_trace):

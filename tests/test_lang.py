@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+import re
 import sys
 
 import pytest
@@ -261,3 +263,55 @@ def test_only_ascii_digits_are_numerals(src, col):
     with pytest.raises(ProblemError) as info:
         parse_problem(f"setting: nil\nsymbols: x; y\nclaim: {src}\n")
     assert info.value.line == 3
+
+
+# -- pinned results ----------------------------------------------------------
+
+# Half the strings are drawn from the grammar's own pieces, half from
+# these and letters and digits outside ASCII, `_`, CR, LF, tab, NBSP, a
+# combining acute accent and characters the grammar has no use for.
+GRAMMAR_PIECES = (*("x", "y", "x_1", "1", "2") * 2, " ", *"+-*^()[],")
+FUZZ_PIECES = (*GRAMMAR_PIECES, "q", "é", "Ω", "0", "9", "٣", "²", "_", "$", ";", "#",
+               "\t", "\r", "\n", "\xa0", "\u0301")
+FUZZ_SYMBOLS = ("x", "y", "x_1")
+PROBLEM_OF_ONE_LINE = "setting: nil\nsymbols: x; y; x_1\ngenerators: "
+# an exponent above 2 can ask for 2^81 terms within a dozen pieces, as in (x+y)^9^9
+_COSTLY = re.compile(r"\^[ \t\r\n]*(?:[0-9]{2}|[3-9])")
+
+
+def _outcome(parse, src):
+    try:
+        return [print_poly(poly) for poly in parse(src)]
+    except (ParseError, ProblemError) as err:
+        cause = err.__cause__
+        return (type(err).__name__, str(err), err.line, getattr(err, "col", None),
+                cause and (type(cause).__name__, cause.message, cause.line, cause.col))
+
+
+def parser_digest(count: int, seed: int = 0) -> str:
+    """One hash over what parse_poly and a problem file's generators make of
+    ``count`` seeded strings: the printed result, or the error's class,
+    message and position."""
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+    made = 0
+    while made < count:
+        pieces = FUZZ_PIECES if made % 2 else GRAMMAR_PIECES
+        src = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
+        if _COSTLY.search(src):
+            continue
+        made += 1
+        for parse in (lambda s: [parse_poly(s, FUZZ_SYMBOLS)],
+                      lambda s: parse_problem(PROBLEM_OF_ONE_LINE + s).generators):
+            digest.update(repr(_outcome(parse, src)).encode())
+    return digest.hexdigest()
+
+
+# parser_digest(5000) as first recorded.  A change to lang or to print_poly
+# that alters these results on purpose pins the new digest here and
+# records the reason in CHANGES.md, as a re-baselined golden does.
+PINNED_PARSER_DIGEST = "5012bf6c0a417386204c334e443438cc734deef157a454b6df2a76fc12c5808b"
+
+
+def test_parser_results_are_pinned():
+    assert parser_digest(5000) == PINNED_PARSER_DIGEST

@@ -78,6 +78,14 @@ def test_power():
     assert (x + y) ** 2 == x * x + x * y + y * x + y * y
     p = x * y - one
     assert p ** 3 == p * p * p
+    with pytest.raises(ValueError, match="negative exponent"):
+        x ** -1
+
+
+def test_coefficients_must_be_int():
+    for coeff in (1.0, "1", None):
+        with pytest.raises(TypeError, match="coefficients must be int"):
+            Poly({(base_symbol("x"),): coeff})
 
 
 def test_commutator_ignores_central_shifts():

@@ -44,8 +44,8 @@ from nilcert.transforms import (
     SettingMismatchError,
     TransformError,
 )
-from nilcert.certificate import Red, Semiprime
-from nilcert.witness import dag_symbols, substitute_schematic
+from nilcert.certificate import Intro, Red, Semiprime
+from nilcert.witness import WitnessDag, dag_symbols, substitute_schematic
 
 x, y, z = (Poly.symbol(base_symbol(n)) for n in "xyz")
 one = Poly.one()
@@ -577,6 +577,21 @@ def test_sqrt_product_rejects_nil_inputs():
     p = product_witness("x")
     with pytest.raises(SettingMismatchError):
         sqrt_product(p, p, one)
+
+
+@pytest.mark.parametrize("side", ["p", "q"])
+@pytest.mark.parametrize("setting, foreign, product", [
+    (NIL, Semiprime(Symbol.decode("w#0"), 0, y), nil_product),
+    (SQRT, Red(0, y), lambda p, q: sqrt_product(p, q, one)),
+], ids=["nil", "sqrt"])
+def test_products_refuse_a_node_of_the_other_setting(side, setting, foreign, product):
+    builder = DagBuilder(setting, GeneratorSet((x,)))
+    good = builder.build(builder.intro(0))
+    # made by hand, as no builder admits it: above Intro(0) of x, a root
+    # of the other setting concluding y
+    bad = WitnessDag(setting, GeneratorSet((x,)), (Intro(0), foreign), (x, y), 1)
+    with pytest.raises(TransformError, match=f"unexpected node in {setting} witness"):
+        product(bad, good) if side == "p" else product(good, bad)
 
 
 def test_sqrt_intersect():
