@@ -23,7 +23,7 @@ _HOME = {
     "commutator": "ring", "substitute": "ring",
     "ParseError": "lang", "ProblemError": "lang", "UndeclaredIdentifierError": "lang",
     "ProblemFile": "lang", "parse_poly": "lang", "print_poly": "lang", "parse_problem": "lang",
-    "GeneratorSet": "certificate",
+    "GeneratorSet": "certificate", "node_budget": "certificate",
     "WitnessDag": "witness", "DagBuilder": "witness", "WitnessError": "witness",
     "BudgetExceededError": "witness", "conclusion_of": "witness",
     "substitute_schematic": "witness",

@@ -53,6 +53,8 @@ sorted.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
+from contextvars import ContextVar
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping, Union
 
@@ -64,6 +66,8 @@ __all__ = [
     "SQRT",
     "FORMAT_VERSION",
     "DEFAULT_MAX_NODES",
+    "NODE_BUDGET",
+    "node_budget",
     "Intro",
     "IntroFamily",
     "Zero",
@@ -88,6 +92,19 @@ SQRT = "sqrt"
 
 FORMAT_VERSION = 1
 DEFAULT_MAX_NODES = 10**6  # the node budget of a certificate or a built witness
+# the budget in force; read once per DagBuilder and once per certificate the CLI loads
+NODE_BUDGET: ContextVar[int] = ContextVar("NODE_BUDGET", default=DEFAULT_MAX_NODES)
+
+
+@contextmanager
+def node_budget(n: int):
+    """Make n the node budget inside the block, as decimal.localcontext scopes
+    precision; each DagBuilder keeps the budget in force when it is created."""
+    token = NODE_BUDGET.set(n)
+    try:
+        yield
+    finally:
+        NODE_BUDGET.reset(token)
 
 
 # -- node kinds -------------------------------------------------------
@@ -240,6 +257,8 @@ def dag_polys(generators: GeneratorSet, claim: Poly, nodes: Iterable[Node]) -> l
     """Every polynomial of a certificate or DAG, shared ones repeated."""
     polys = [*generators.all_polys(), claim]
     for node in nodes:
+        if type(node) not in _POLYS:
+            raise TypeError(f"unknown node kind {type(node).__name__}")
         polys += _POLYS[type(node)](node)
     return polys
 
@@ -265,11 +284,10 @@ def _node_json(node: Node, ident: int, poly: Callable[[Poly], str]) -> str:
     if isinstance(node, Red):
         return (f'{{"conclusion":{poly(node.conclusion)},"id":{ident},'
                 f'"op":"red","premise":{node.premise:d}}}')
-    if isinstance(node, Semiprime):
-        return (f'{{"bound":{json.dumps(node.bound.encode())},'
-                f'"conclusion":{poly(node.conclusion)},"id":{ident},'
-                f'"op":"semiprime","premise":{node.premise:d}}}')
-    raise TypeError(f"unknown node kind {type(node).__name__}")
+    # a Semiprime, the one kind left: dag_polys refused every other
+    return (f'{{"bound":{json.dumps(node.bound.encode())},'
+            f'"conclusion":{poly(node.conclusion)},"id":{ident},'
+            f'"op":"semiprime","premise":{node.premise:d}}}')
 
 
 def serialize(cert: Certificate) -> bytes:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from nilcert.certificate import REF, Certificate, deserialize, map_fields, serialize
 from nilcert.checker import check_certificate
-from nilcert.witness import DEFAULT_MAX_NODES, DagBuilder, WitnessDag, WitnessError, dag_symbols
+from nilcert.witness import DagBuilder, WitnessDag, WitnessError, dag_symbols
 
 __all__ = [
     "Certificate",
@@ -46,22 +46,20 @@ def certificate_from_dag(dag: WitnessDag, symbols: tuple[str, ...] | None = None
     )
 
 
-def dag_from_certificate(
-    cert: Certificate, max_nodes: int = DEFAULT_MAX_NODES
-) -> WitnessDag:
+def dag_from_certificate(cert: Certificate) -> WitnessDag:
     """Build a WitnessDag from certificate data the checker accepts.
 
     The checker runs once, and WitnessError carries its verdict when
     the certificate is invalid.  Nodes go into a DagBuilder in the
     checker's order with the verdict's conclusions and no ring
     operations; equal nodes are shared, so ids may change (transforms
-    never rely on them), and more than ``max_nodes`` raise
-    BudgetExceededError.
+    never rely on them), and more nodes than the node budget in force
+    (``node_budget``) raise BudgetExceededError.
     """
     verdict = check_certificate(cert)
     if not verdict:
         raise WitnessError(str(verdict))
-    builder = DagBuilder(cert.setting, cert.generators, max_nodes)
+    builder = DagBuilder(cert.setting, cert.generators)
     shared, append, conclusions = builder._index.get, builder._append, verdict.conclusions
     mapping = [0] * len(cert.nodes)
     renumber = {REF: mapping.__getitem__}

@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 a certificate or input combination is
 semantically invalid (diagnostic on stderr), 2 parse/IO/usage trouble.
 Certificates contain no timestamps, so every command's output is
-byte-reproducible.  NILCERT_MAX_NODES overrides the node budget.
+byte-reproducible.  NILCERT_MAX_NODES sets each command's node budget.
 
 Only the trusted kernel is imported with this module, so ``check``
 runs on the kernel alone; each other command imports the layers it
@@ -19,7 +19,8 @@ import sys
 
 import nilcert
 from nilcert.certificate import (
-    DEFAULT_MAX_NODES, NIL, Certificate, GeneratorSet, deserialize, serialize,
+    DEFAULT_MAX_NODES, NIL, NODE_BUDGET, Certificate, GeneratorSet, deserialize, node_budget,
+    serialize,
 )
 from nilcert.checker import check_certificate
 from nilcert.ring import _NUMERAL, Poly
@@ -49,7 +50,7 @@ def _numeral(text: str) -> int:
     return int(text)
 
 
-def _load(path: str, max_nodes: int) -> Certificate:
+def _load(path: str) -> Certificate:
     """Read and parse a certificate file.
 
     A certificate with more nodes than the budget is refused before the
@@ -57,19 +58,20 @@ def _load(path: str, max_nodes: int) -> Certificate:
     """
     with open(path, "rb") as handle:
         cert = deserialize(handle.read())
+    max_nodes = NODE_BUDGET.get()
     if len(cert.nodes) > max_nodes:
         raise _InvalidInput(f"{path}: {len(cert.nodes)} nodes exceed the node budget {max_nodes}")
     return cert
 
 
-def _load_dag(path: str, max_nodes: int) -> tuple[Certificate, WitnessDag]:
+def _load_dag(path: str) -> tuple[Certificate, nilcert.WitnessDag]:
     """Read a certificate file and build its DAG, checking it once."""
     from nilcert.certio import dag_from_certificate
     from nilcert.witness import WitnessError
 
-    cert = _load(path, max_nodes)
+    cert = _load(path)
     try:
-        return cert, dag_from_certificate(cert, max_nodes)
+        return cert, dag_from_certificate(cert)
     except WitnessError as err:
         raise _InvalidInput(f"{path}: {err}") from None
 
@@ -103,18 +105,18 @@ def _write_cert(cert: Certificate, path: str) -> None:
     print(path)
 
 
-def _cmd_check(args, max_nodes: int) -> int:
-    cert = _load(args.certificate, max_nodes)
+def _cmd_check(args) -> int:
+    cert = _load(args.certificate)
     _require_valid(cert, args.certificate)
     print(f"{args.certificate}: valid ({len(cert.nodes)} nodes, setting {cert.setting})")
     return 0
 
 
-def _cmd_demo(args, max_nodes: int) -> int:
+def _cmd_demo(args) -> int:
     from nilcert.commutativity import xn_demo
 
     n = {"x2": 2, "x3": 3}[args.name]
-    cert, log = _transform(xn_demo, n, max_nodes)
+    cert, log = _transform(xn_demo, n)
     out = args.out or f"{args.name}.cert.json"
     log_out = args.log or f"{args.name}.log.md"
     _write_cert(cert, out)
@@ -140,7 +142,7 @@ def _require_setting(*settings: str) -> str:
     return found.pop()
 
 
-def _cmd_product(args, max_nodes: int) -> int:
+def _cmd_product(args) -> int:
     from nilcert.certio import certificate_from_dag
     from nilcert.lang import parse_poly, parse_problem
     from nilcert.transforms import fresh_middle, nil_product, sqrt_product
@@ -148,8 +150,8 @@ def _cmd_product(args, max_nodes: int) -> int:
     with open(args.problem, "r", encoding="utf-8") as handle:
         problem = parse_problem(handle.read())
     common, a, b = _split_product_generators(problem)
-    p_cert, p_dag = _load_dag(args.p_certificate, max_nodes)
-    q_cert, q_dag = _load_dag(args.q_certificate, max_nodes)
+    p_cert, p_dag = _load_dag(args.p_certificate)
+    q_cert, q_dag = _load_dag(args.q_certificate)
     setting = _require_setting(problem.setting, p_cert.setting, q_cert.setting)
     expect_p = GeneratorSet(common + (a,), problem.families)
     expect_q = GeneratorSet(common + (b,), problem.families)
@@ -160,24 +162,24 @@ def _cmd_product(args, max_nodes: int) -> int:
     if setting == NIL:
         if args.m is not None:
             raise _InvalidInput("--m only applies to the sqrt setting")
-        out_dag = _transform(nil_product, p_dag, q_dag, max_nodes)
+        out_dag = _transform(nil_product, p_dag, q_dag)
     else:
         if args.m is not None:
             middle = parse_poly(args.m, problem.symbols)
         else:
             middle = Poly.symbol(fresh_middle(p_dag, q_dag))
-        out_dag = _transform(sqrt_product, p_dag, q_dag, middle, max_nodes)
+        out_dag = _transform(sqrt_product, p_dag, q_dag, middle)
     out_cert = certificate_from_dag(out_dag, symbols=problem.symbols)
     _write_cert(out_cert, args.out or "product.cert.json")
     return 0
 
 
-def _cmd_permute(args, max_nodes: int) -> int:
+def _cmd_permute(args) -> int:
     from nilcert.certio import certificate_from_dag
     from nilcert.lang import parse_poly
     from nilcert.transforms import Permutation, permute
 
-    cert, dag = _load_dag(args.certificate, max_nodes)
+    cert, dag = _load_dag(args.certificate)
     factor_srcs = [s.strip() for s in args.factors.split(";") if s.strip()]
     factors = [parse_poly(src, cert.symbols) for src in factor_srcs]
     try:
@@ -187,23 +189,23 @@ def _cmd_permute(args, max_nodes: int) -> int:
     sigma = Permutation(images)  # ValueError (exit 2) if not a bijection
     if sigma.n != len(factors):
         raise ValueError(f"--sigma has {sigma.n} entries for {len(factors)} factors")
-    out_dag = _transform(permute, dag, factors, sigma, max_nodes)
+    out_dag = _transform(permute, dag, factors, sigma)
     out_cert = certificate_from_dag(out_dag, symbols=cert.symbols)
     _write_cert(out_cert, args.out or "permuted.cert.json")
     return 0
 
 
-def _cmd_intersect(args, max_nodes: int) -> int:
+def _cmd_intersect(args) -> int:
     from nilcert.certio import certificate_from_dag
     from nilcert.transforms import nil_intersect, sqrt_intersect
 
-    p_cert, p_dag = _load_dag(args.p_certificate, max_nodes)
-    q_cert, q_dag = _load_dag(args.q_certificate, max_nodes)
+    p_cert, p_dag = _load_dag(args.p_certificate)
+    q_cert, q_dag = _load_dag(args.q_certificate)
     setting = _require_setting(p_cert.setting, q_cert.setting)
     if setting == NIL:
-        out_dag = _transform(nil_intersect, p_dag, q_dag, max_nodes)
+        out_dag = _transform(nil_intersect, p_dag, q_dag)
     else:
-        out_dag = _transform(sqrt_intersect, p_dag, q_dag, max_nodes)
+        out_dag = _transform(sqrt_intersect, p_dag, q_dag)
     symbols = p_cert.symbols + tuple(
         name for name in q_cert.symbols if name not in p_cert.symbols
     )
@@ -261,18 +263,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    raw_budget = os.environ.get("NILCERT_MAX_NODES")
-    if raw_budget is None:
-        max_nodes = DEFAULT_MAX_NODES
-    else:
-        try:
-            max_nodes = _numeral(raw_budget)
-        except ValueError:
-            max_nodes = 0
-        if max_nodes < 1:
-            return _fail(2, f"NILCERT_MAX_NODES must be a positive integer, got {raw_budget!r}")
+    raw_budget = os.environ.get("NILCERT_MAX_NODES", str(DEFAULT_MAX_NODES))
     try:
-        return args.func(args, max_nodes)
+        budget = _numeral(raw_budget)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        return _fail(2, f"NILCERT_MAX_NODES must be a positive integer, got {raw_budget!r}")
+    try:
+        with node_budget(budget):  # reset on return: main may run again in this process
+            return args.func(args)
     except _InvalidInput as err:
         return _fail(1, str(err))
     except (OSError, ValueError) as err:

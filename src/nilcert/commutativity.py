@@ -28,7 +28,7 @@ from nilcert.checker import check_certificate
 from nilcert.lang import print_poly
 from nilcert.record import Record
 from nilcert.ring import Poly, Symbol, base_symbol
-from nilcert.witness import DEFAULT_MAX_NODES, DagBuilder, WitnessDag, WitnessError
+from nilcert.witness import DagBuilder, WitnessDag, WitnessError
 from nilcert.transforms import nil_intersect
 
 __all__ = [
@@ -93,8 +93,7 @@ class ProofLog(Record):
         return "\n".join(lines) + "\n"
 
 
-def commutator_factor_witness(c: int, x: Symbol, y: Symbol,
-                              max_nodes: int = DEFAULT_MAX_NODES) -> WitnessDag:
+def commutator_factor_witness(c: int, x: Symbol, y: Symbol) -> WitnessDag:
     """Witness that x*y - y*x lies in Nil(x - c).
 
     (x-c)*y - y*(x-c) collapses to the commutator because the constant
@@ -103,7 +102,7 @@ def commutator_factor_witness(c: int, x: Symbol, y: Symbol,
     xp = Poly.symbol(x)
     yp = Poly.symbol(y)
     factor = xp - Poly.constant(c)
-    builder = DagBuilder(NIL, GeneratorSet((factor,)), max_nodes)
+    builder = DagBuilder(NIL, GeneratorSet((factor,)))
     gen = builder.intro(0)
     left = builder.mult(Poly.one(), gen, yp)
     right = builder.mult(-yp, gen, Poly.one())
@@ -119,11 +118,11 @@ def central_roots_witness(cs: CentralConstants) -> Certificate:
     return certificate_from_dag(_central_roots_dag(cs), symbols=("x", "y"))
 
 
-def _central_roots_dag(cs: CentralConstants, max_nodes: int = DEFAULT_MAX_NODES) -> WitnessDag:
+def _central_roots_dag(cs: CentralConstants) -> WitnessDag:
     x, y = base_symbol("x"), base_symbol("y")
-    dag = commutator_factor_witness(cs.constants[0], x, y, max_nodes)
+    dag = commutator_factor_witness(cs.constants[0], x, y)
     for c in cs.constants[1:]:
-        dag = nil_intersect(dag, commutator_factor_witness(c, x, y, max_nodes), max_nodes)
+        dag = nil_intersect(dag, commutator_factor_witness(c, x, y))
     return dag
 
 
@@ -131,7 +130,7 @@ def _central_roots_dag(cs: CentralConstants, max_nodes: int = DEFAULT_MAX_NODES)
 _DEMOS = {2: ((0, 1), "z^2"), 3: ((0, 1, -1), "z^3 = z*z^2")}
 
 
-def xn_demo(n: int, max_nodes: int = DEFAULT_MAX_NODES) -> tuple[Certificate, ProofLog]:
+def xn_demo(n: int) -> tuple[Certificate, ProofLog]:
     """Certificate and proof log for: rings with x^n = x are commutative.
 
     Only n = 2 and n = 3 are offered; those are the exponents for which
@@ -144,7 +143,7 @@ def xn_demo(n: int, max_nodes: int = DEFAULT_MAX_NODES) -> tuple[Certificate, Pr
         )
     # the certificate keeps the DAG's node ids, so its conclusions apply
     roots, chain = _DEMOS[n]
-    dag = _central_roots_dag(CentralConstants(roots), max_nodes)
+    dag = _central_roots_dag(CentralConstants(roots))
     cert = certificate_from_dag(dag, symbols=("x", "y"))
     generator = print_poly(cert.generators.elements[0], cert.symbols)
     claim = print_poly(cert.claim, cert.symbols)

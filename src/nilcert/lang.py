@@ -13,10 +13,11 @@ An integer has ASCII digits only.  In an ident, alpha and alnum are the
 characters for which str.isalpha() and str.isalnum() hold, and the
 ident must be declared in the alphabet.  `*` is the noncommutative
 product and must be written explicitly; `[p, q]` denotes the commutator
-p*q - q*p.  Brackets nest at most MAX_NESTING deep.  Problem files are
-plain text, one `key: value` per line, with `;` separating list items
-and `#` starting a comment; parse_problem parses each expression once
-and returns the values, not the source strings.
+p*q - q*p.  Brackets nest at most MAX_NESTING deep, and no value may
+outgrow MAX_SIZE.  Problem files are plain text, one `key: value` per
+line, with `;` separating list items and `#` starting a comment;
+parse_problem parses each expression once and returns the values, not
+the source strings.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "ProblemError",
     "ProblemFile",
     "MAX_NESTING",
+    "MAX_SIZE",
     "parse_poly",
     "print_poly",
     "parse_problem",
@@ -72,6 +74,16 @@ class ProblemError(ValueError):
 # Brackets may nest this deep in an expression, whatever the caller's
 # stack depth; each level takes three parser frames.
 MAX_NESTING = 100
+# A `*`, `^` or `[p, q]` is refused before it multiplies when its value could
+# hold more than MAX_SIZE letters and coefficient bits over all its terms.
+MAX_SIZE = 10**6
+
+
+def _size(p: Poly) -> int:
+    # each term pair of a product adds its letters and coefficient bits, so
+    # _size(p*q) <= len(q)*_size(p) + len(p)*_size(q)
+    return sum([len(word) + coeff.bit_length() for word, coeff in p._terms.items()])
+
 
 # Blanks, then one token: an ASCII integer (str.isdigit also takes other
 # scripts' digits), a word (\w is isalnum() or "_"), a punctuation mark,
@@ -136,8 +148,10 @@ class _Parser:
             self.take()
         acc = self.parse_factor()
         while self.peek()[0] == "*":
-            self.take()
-            acc = acc * self.parse_factor()
+            offset = self.take()[2]
+            factor = self.parse_factor()
+            self.bounded(len(factor) * _size(acc) + len(acc) * _size(factor), offset)
+            acc = acc * factor
         return -acc if negate else acc
 
     def parse_factor(self) -> Poly:
@@ -159,16 +173,28 @@ class _Parser:
             base = self.parse_poly()
             if kind == "[":
                 self.expect(",")
-                base = commutator(base, self.parse_poly())
+                other = self.parse_poly()
+                self.bounded(2 * (len(other) * _size(base) + len(base) * _size(other)), offset)
+                base = commutator(base, other)
             self.expect(")" if kind == "(" else "]")
             self.depth -= 1
         else:
             shown = text if kind != "end" else "end of input"
             raise ParseError(f"expected a factor, found {shown!r}", *_line_col(self.src, offset))
         while self.peek()[0] == "^":
-            self.take()
-            base = base ** self.integer(self.expect("int"))
+            offset = self.take()[2]
+            exponent = self.integer(self.expect("int"))
+            if exponent > 1:  # _size(p^k) <= k * len(p)^(k-1) * _size(p)
+                # capped where 2^(k-1) alone would pass MAX_SIZE, so no huge power is formed
+                terms = len(base) ** min(exponent - 1, MAX_SIZE.bit_length())
+                self.bounded(exponent * terms * _size(base), offset)
+            base = base ** exponent
         return base
+
+    def bounded(self, size: int, offset: int) -> None:
+        if size > MAX_SIZE:
+            raise ParseError(f"value could exceed {MAX_SIZE} letters and coefficient bits",
+                             *_line_col(self.src, offset))
 
     def integer(self, tok: tuple[str, str, int]) -> int:
         try:

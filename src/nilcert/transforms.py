@@ -39,7 +39,7 @@ from nilcert.certificate import (
 )
 from nilcert.record import Record
 from nilcert.ring import Poly, Symbol, fresh_schematic
-from nilcert.witness import DEFAULT_MAX_NODES, DagBuilder, WitnessDag, dag_symbols, induction
+from nilcert.witness import DagBuilder, WitnessDag, dag_symbols, induction
 
 __all__ = [
     "TransformError",
@@ -121,28 +121,19 @@ def _insert_at(builder: DagBuilder, node_id: int, u: Poly, v: Poly, r: Poly) -> 
     return builder.red(builder.mult(u * r, rotated, r * v), u * r * v)
 
 
-def rotate(
-    w: WitnessDag, u: Poly, v: Poly, max_nodes: int = DEFAULT_MAX_NODES
-) -> WitnessDag:
+def rotate(w: WitnessDag, u: Poly, v: Poly) -> WitnessDag:
     """From a witness of u*v, derive v*u (adds two nodes)."""
-    builder = DagBuilder.from_dag(w, max_nodes)
+    builder = DagBuilder.from_dag(w)
     return builder.build(_rotate_at(builder, w.root, u, v))
 
 
-def insert(
-    w: WitnessDag, u: Poly, v: Poly, r: Poly, max_nodes: int = DEFAULT_MAX_NODES
-) -> WitnessDag:
+def insert(w: WitnessDag, u: Poly, v: Poly, r: Poly) -> WitnessDag:
     """From a witness of u*v, derive u*r*v (adds four nodes)."""
-    builder = DagBuilder.from_dag(w, max_nodes)
+    builder = DagBuilder.from_dag(w)
     return builder.build(_insert_at(builder, w.root, u, v, r))
 
 
-def permute(
-    w: WitnessDag,
-    factors: Sequence[Poly],
-    sigma: Permutation,
-    max_nodes: int = DEFAULT_MAX_NODES,
-) -> WitnessDag:
+def permute(w: WitnessDag, factors: Sequence[Poly], sigma: Permutation) -> WitnessDag:
     """From a witness of x_1*...*x_n, derive x_sigma(1)*...*x_sigma(n).
 
     Write T for the permuted product and pick the least power of two m
@@ -185,7 +176,7 @@ def permute(
     suffix = span(positions[-1] + 1, n * m)
     heads = list(itertools.accumulate(factors, operator.mul, initial=_ONE))
 
-    builder = DagBuilder.from_dag(w, max_nodes)
+    builder = DagBuilder.from_dag(w)
     current = w.root
     tail = factors[-1]
     for k in range(n - 1, 0, -1):  # gap k sits between x_k and x_{k+1}
@@ -230,9 +221,7 @@ def _first_with_conclusion(w: WitnessDag) -> list[int]:
     return [first.setdefault(c, i) for i, c in enumerate(w.conclusions)]
 
 
-def nil_product(
-    p: WitnessDag, q: WitnessDag, max_nodes: int = DEFAULT_MAX_NODES
-) -> WitnessDag:
+def nil_product(p: WitnessDag, q: WitnessDag) -> WitnessDag:
     """Multiply memberships: x in Nil(U,a) and y in Nil(U,b) give
     x*y in Nil(U, a*b).
 
@@ -256,7 +245,7 @@ def nil_product(
     if p.setting != NIL or q.setting != NIL:
         raise SettingMismatchError("nil_product needs two nil witnesses")
     common, a, b = _split_distinguished(p, q)
-    out = DagBuilder(NIL, GeneratorSet(common + (a * b,)), max_nodes)
+    out = DagBuilder(NIL, GeneratorSet(common + (a * b,)))
     distinguished = len(common)
     p_first, q_first = _first_with_conclusion(p), _first_with_conclusion(q)
     y = q.conclusion
@@ -310,22 +299,18 @@ def nil_product(
     return out.build(induction(times_y, p.root))
 
 
-def nil_intersect(
-    p: WitnessDag, q: WitnessDag, max_nodes: int = DEFAULT_MAX_NODES
-) -> WitnessDag:
+def nil_intersect(p: WitnessDag, q: WitnessDag) -> WitnessDag:
     """Common membership: c in Nil(U,a) and c in Nil(U,b) give
     c in Nil(U, a*b), by halving the product witness of c*c."""
     c = p.conclusion
     if c != q.conclusion:
         raise ConclusionMismatchError("the two witnesses conclude different elements")
-    squared = nil_product(p, q, max_nodes)
-    builder = DagBuilder.from_dag(squared, max_nodes)
+    squared = nil_product(p, q)
+    builder = DagBuilder.from_dag(squared)
     return builder.build(builder.red(squared.root, c))
 
 
-def sqrt_product(
-    p: WitnessDag, q: WitnessDag, m: Poly, max_nodes: int = DEFAULT_MAX_NODES
-) -> WitnessDag:
+def sqrt_product(p: WitnessDag, q: WitnessDag, m: Poly) -> WitnessDag:
     """Family product: x in sqrt(U,a) and y in sqrt(U,b) give
     x*m*y in sqrt(U + family (a,b)), for any middle element m.
 
@@ -345,7 +330,7 @@ def sqrt_product(
         raise SettingMismatchError("sqrt_product needs two sqrt witnesses")
     common, a, b = _split_distinguished(p, q)
     families = p.generators.families
-    out = DagBuilder(SQRT, GeneratorSet(common, families + ((a, b),)), max_nodes)
+    out = DagBuilder(SQRT, GeneratorSet(common, families + ((a, b),)))
     distinguished = len(common)
     new_family = len(families)
     taken = dict.fromkeys(dag_symbols(p, q) | m.symbols())
@@ -404,9 +389,7 @@ def sqrt_product(
     return out.build(induction(times_y, p.root, (), m))
 
 
-def sqrt_intersect(
-    p: WitnessDag, q: WitnessDag, max_nodes: int = DEFAULT_MAX_NODES
-) -> WitnessDag:
+def sqrt_intersect(p: WitnessDag, q: WitnessDag) -> WitnessDag:
     """Common membership: c in sqrt(U,a) and c in sqrt(U,b) give
     c in sqrt(U + family (a,b)).
 
@@ -417,8 +400,8 @@ def sqrt_intersect(
     if c != q.conclusion:
         raise ConclusionMismatchError("the two witnesses conclude different elements")
     bound = fresh_middle(p, q)
-    product = sqrt_product(p, q, Poly.symbol(bound), max_nodes)
-    builder = DagBuilder.from_dag(product, max_nodes)
+    product = sqrt_product(p, q, Poly.symbol(bound))
+    builder = DagBuilder.from_dag(product)
     return builder.build(builder.semiprime(bound, product.root, c))
 
 

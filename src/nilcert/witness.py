@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import Callable, Generator
 
 from nilcert.certificate import (
-    DEFAULT_MAX_NODES,
     NIL,
+    NODE_BUDGET,
     POLY,
     REF,
     SETTING_OF,
@@ -37,7 +37,6 @@ from nilcert.record import Record
 from nilcert.ring import Poly, Symbol, fresh_schematic, symbols_of
 
 __all__ = [
-    "DEFAULT_MAX_NODES",
     "WitnessError",
     "BudgetExceededError",
     "WitnessDag",
@@ -94,16 +93,12 @@ class DagBuilder:
     """Arena for growing a witness one verified node at a time.
 
     Structurally equal nodes are shared: adding a node that already
-    exists returns the old id.  Exceeding ``max_nodes`` raises
-    BudgetExceededError rather than thrashing memory.
+    exists returns the old id.  The builder keeps the node budget in
+    force when it is created (``node_budget``), as ``max_nodes``; more
+    nodes raise BudgetExceededError rather than thrashing memory.
     """
 
-    def __init__(
-        self,
-        setting: str,
-        generators: GeneratorSet,
-        max_nodes: int = DEFAULT_MAX_NODES,
-    ):
+    def __init__(self, setting: str, generators: GeneratorSet):
         if setting not in (NIL, SQRT):
             raise WitnessError(f"unknown setting {setting!r}")
         if setting == NIL and generators.families:
@@ -112,19 +107,19 @@ class DagBuilder:
             for sym in poly.symbols():
                 if sym.is_schematic:
                     raise WitnessError(f"schematic symbol {sym.encode()} in generator set")
-        if max_nodes < 1:
+        self.max_nodes = NODE_BUDGET.get()
+        if self.max_nodes < 1:
             raise BudgetExceededError("max_nodes must be positive")
         self.setting = setting
         self.generators = generators
-        self.max_nodes = max_nodes
         self._nodes: list[Node] = []
         self._conclusions: list[Poly] = []
         self._index: dict[Node, int] = {}
 
     @classmethod
-    def from_dag(cls, dag: WitnessDag, max_nodes: int = DEFAULT_MAX_NODES) -> "DagBuilder":
+    def from_dag(cls, dag: WitnessDag) -> "DagBuilder":
         """Resume building on top of an existing (trusted) witness."""
-        builder = cls(dag.setting, dag.generators, max_nodes)
+        builder = cls(dag.setting, dag.generators)
         for node, conclusion in zip(dag.nodes, dag.conclusions):
             builder._append(node, conclusion)
         return builder
@@ -248,12 +243,7 @@ def dag_symbols(*dags: WitnessDag) -> set[Symbol]:
     return symbols_of(polys) | bounds
 
 
-def substitute_schematic(
-    dag: WitnessDag,
-    sym: Symbol,
-    value: Poly,
-    max_nodes: int = DEFAULT_MAX_NODES,
-) -> WitnessDag:
+def substitute_schematic(dag: WitnessDag, sym: Symbol, value: Poly) -> WitnessDag:
     """Instantiate a schematic symbol throughout a witness.
 
     Every Poly field is rewritten under sym -> value.  Semiprime bounds are
@@ -264,7 +254,7 @@ def substitute_schematic(
     """
     if not sym.is_schematic:
         raise WitnessError("only schematic symbols can be substituted in a witness")
-    builder = DagBuilder(dag.setting, dag.generators, max_nodes)
+    builder = DagBuilder(dag.setting, dag.generators)
     taken = dict.fromkeys(dag_symbols(dag) | value.symbols())
 
     def subst(node_id: int, env: frozenset):

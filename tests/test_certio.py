@@ -31,6 +31,7 @@ from nilcert import (
     dag_from_certificate,
     deserialize,
     nil_product,
+    node_budget,
     serialize,
 )
 from nilcert.ring import SCHEMATIC, Symbol, sorted_terms
@@ -507,9 +508,10 @@ def test_dag_from_certificate_matches_a_readmitted_reference(tmp_path):
         assert got.nodes == want.nodes
         assert got.conclusions == want.conclusions
         assert got.root == want.root
-        assert len(dag_from_certificate(cert, len(want.nodes))) == len(want.nodes)
-        with pytest.raises(BudgetExceededError):
-            dag_from_certificate(cert, len(want.nodes) - 1)
+        with node_budget(len(want.nodes)):
+            assert len(dag_from_certificate(cert)) == len(want.nodes)
+        with node_budget(len(want.nodes) - 1), pytest.raises(BudgetExceededError):
+            dag_from_certificate(cert)
 
     # the checker accepts a never-bound schematic generator; a DAG cannot hold one
     q = Poly.symbol(Symbol.decode("q#0"))

@@ -18,6 +18,7 @@ from nilcert import (
     base_symbol,
     certificate_from_dag,
     check_certificate,
+    serialize,
 )
 from nilcert.checker import (
     BAD_REF,
@@ -119,6 +120,18 @@ def test_wrong_setting():
     verdict = verdict_of(raw("nil", GeneratorSet((x,)), [Intro(0), Semiprime(z, 0, x)], x, 1))
     assert (verdict.reason, verdict.node) == (WRONG_SETTING, 1)
     assert "Semiprime outside sqrt setting" in str(verdict)
+
+
+def test_a_node_of_no_known_kind_is_refused_by_the_checker_and_the_writer():
+    class Foreign(tuple):  # not one of the seven node kinds
+        pass
+
+    cert = raw("nil", GeneratorSet((x,)), [Intro(0), Foreign()], x, 0)
+    verdict = verdict_of(cert)
+    assert (verdict.reason, verdict.node) == (WRONG_SETTING, 1)
+    assert "unknown node kind Foreign" in str(verdict)
+    with pytest.raises(TypeError, match="unknown node kind Foreign"):
+        serialize(cert)
 
 
 def test_gen_index():

@@ -36,6 +36,7 @@ from nilcert import (
     sqrt_intersect,
     xn_demo,
 )
+from nilcert.certificate import DEFAULT_MAX_NODES
 
 x, y, z = (Poly.symbol(base_symbol(n)) for n in "xyz")
 one = Poly.one()
@@ -440,6 +441,13 @@ def test_deeply_nested_expressions_are_usage_errors(tmp_path):
     assert results[0].stderr.startswith("nilcert: line 3: in generators: ")
 
 
+def test_values_past_the_parser_size_bound_are_usage_errors(tmp_path):
+    path = make_three_factor_cert(tmp_path)
+    result = run("permute", str(path), "--factors", "(x+y)^40", "--sigma", "1", cwd=tmp_path)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "nilcert: 1:6: value could exceed 1000000 letters and coefficient bits\n"
+
+
 def test_over_long_integer_literals_are_usage_errors(tmp_path):
     long = "1" * 5000  # past the interpreter's int/str digit limit
     (tmp_path / "long.txt").write_text(f"setting: nil\nsymbols: x; y\ngenerators: x; {long}*y\n")
@@ -630,6 +638,24 @@ def test_budget_env_caps_loaded_certificates(tmp_path, monkeypatch):
          "-o", str(tmp_path / "out.json")])
     assert (code, out) == (1, "")
     assert "budget" in err
+
+
+def test_the_budget_of_an_in_process_command_ends_with_it(tmp_path, monkeypatch):
+    # bench/worker.py replays many commands through main in one process
+    (tmp_path / "prob.txt").write_text(NIL_PROBLEM)
+    write_product_cert(tmp_path / "p.json", NIL, (x,), y, y)
+    write_product_cert(tmp_path / "q.json", NIL, (y,), x, x)
+    path = str(make_three_factor_cert(tmp_path))
+    monkeypatch.setenv("NILCERT_MAX_NODES", "3")
+    for argv, exit_code, message in (
+        (["product", *(str(tmp_path / f) for f in ("prob.txt", "p.json", "q.json")),
+          "-o", str(tmp_path / "out.json")], 1, "node budget 3 exceeded"),
+        (["permute", path, "--factors", "(x+y)^40", "--sigma", "1"], 2, "value could exceed"),
+        (["check", path], 0, ""),
+    ):
+        code, _, err = main_in_process(argv)
+        assert (code, message in err) == (exit_code, True), err
+        assert DagBuilder(NIL, GeneratorSet()).max_nodes == DEFAULT_MAX_NODES
 
 
 def test_each_loaded_certificate_is_verified_once(tmp_path, monkeypatch):

@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import os
 import pathlib
 import subprocess
 import sys
 import types
+import typing
 
 import pytest
 
@@ -67,6 +69,14 @@ def test_check_runs_on_the_kernel_alone():
     assert set(loaded.split()) == {"nilcert", "nilcert.cli"} | KERNEL_MODULES
 
 
+def test_cli_annotations_resolve_without_loading_other_layers_at_import():
+    for value in vars(nilcert.cli).values():
+        if inspect.isfunction(value) and value.__module__ == "nilcert.cli":
+            typing.get_type_hints(value)  # NameError for a name the module cannot see
+    hints = typing.get_type_hints(nilcert.cli._load_dag)
+    assert hints["return"] == tuple[nilcert.Certificate, nilcert.WitnessDag]
+
+
 def test_the_other_commands_load_their_layers_in_a_fresh_process(tmp_path):
     x, y = (nilcert.Poly.symbol(nilcert.base_symbol(name)) for name in "xy")
     for name, generator in (("p", x), ("q", y)):
@@ -100,6 +110,18 @@ def test_star_import_binds_every_public_name():
     exec("from nilcert import *", namespace)
     for name in nilcert.__all__:
         assert namespace[name] is getattr(nilcert, name), name
+
+
+def test_no_public_callable_takes_a_node_budget():
+    # the budget is scoped by node_budget, never passed down through signatures
+    found = [getattr(nilcert, name) for name in nilcert.__all__]
+    found += [member for _, member in inspect.getmembers(nilcert.DagBuilder, callable)]
+    for value in filter(callable, found):
+        try:
+            parameters = inspect.signature(value).parameters
+        except ValueError:  # a builtin without a signature
+            continue
+        assert "max_nodes" not in parameters, value
 
 
 @pytest.mark.parametrize("module", [nilcert, nilcert.cli], ids=["package", "cli"])

@@ -20,7 +20,7 @@ from nilcert import (
     parse_problem,
     print_poly,
 )
-from nilcert.lang import MAX_NESTING
+from nilcert.lang import MAX_NESTING, MAX_SIZE
 
 XY = ("x", "y")
 x = Poly.symbol(base_symbol("x"))
@@ -101,6 +101,30 @@ def test_over_long_integer_literals_are_parse_errors(src, line, col):
     with pytest.raises(ParseError, match="integer literal of 5000 digits is too long") as info:
         parse_poly(src, XY)
     assert (info.value.line, info.value.col) == (line, col)
+
+
+@pytest.mark.parametrize(
+    "src, col",
+    [("(x+y)^40", 6), ("x^1000000000", 2), ("2^1000000000", 2), ("x + (x+y)^2^9", 12),
+     ("(x+y)^10 * (x-y)^10", 10), ("[(x+y)^15, (x-y)^15]", 1)],
+    ids=["terms", "letters", "coefficient bits", "tower", "product", "commutator"],
+)
+def test_values_that_could_outgrow_max_size_are_refused_at_their_operator(src, col):
+    with pytest.raises(ParseError, match=f"value could exceed {MAX_SIZE} letters") as info:
+        parse_poly(src, XY)
+    assert (info.value.line, info.value.col) == (1, col)
+
+
+def test_values_within_max_size_parse():
+    assert len(parse_poly("(x+y)^15", XY)) == 2 ** 15
+    assert parse_poly("x^100000", XY) == Poly.word((base_symbol("x"),) * 100000)
+    assert parse_poly("0^99999 + (x+y)^0", XY) == Poly.one()
+
+
+def test_a_value_past_max_size_in_a_problem_names_the_line():
+    with pytest.raises(ProblemError, match="in claim: .*value could exceed") as info:
+        parse_problem("setting: nil\nsymbols: x; y\ngenerators: x\nclaim: (x+y)^40\n")
+    assert info.value.line == 4
 
 
 def test_over_long_integer_literals_in_a_problem_name_the_line():

@@ -30,6 +30,7 @@ from nilcert import (
     insert,
     nil_intersect,
     nil_product,
+    node_budget,
     permute,
     rotate,
     serialize,
@@ -181,8 +182,8 @@ def test_permute_checks_inputs():
 
 def test_permute_respects_the_budget():
     w = product_witness("x", "y", "z")
-    with pytest.raises(BudgetExceededError):
-        permute(w, (x, y, z), Permutation((3, 2, 1)), max_nodes=3)
+    with node_budget(3), pytest.raises(BudgetExceededError):
+        permute(w, (x, y, z), Permutation((3, 2, 1)))
 
 
 # -- nil products ----------------------------------------------------------
@@ -297,8 +298,8 @@ def test_nil_product_budget():
     qb = DagBuilder(NIL, GeneratorSet((b,)))
     q = qb.build(qb.mult(one, qb.intro(0), y))
     assert len(nil_product(p, q)) > 2  # so the budget, not the input, decides
-    with pytest.raises(BudgetExceededError):
-        nil_product(p, q, max_nodes=2)
+    with node_budget(2), pytest.raises(BudgetExceededError):
+        nil_product(p, q)
 
 
 def test_nil_product_translates_essential_red_nodes_on_both_sides():

@@ -31,12 +31,14 @@ from nilcert import (
     check_certificate,
     conclusion_of,
     deserialize,
+    node_budget,
     parse_problem,
     serialize,
     substitute_schematic,
 )
 from nilcert.certificate import (
-    FIELDS, FORMAT_VERSION, INDEX, POLY, REF, SYMBOL, Add, Intro, IntroFamily, Node, Red,
+    DEFAULT_MAX_NODES, FIELDS, FORMAT_VERSION, INDEX, POLY, REF, SYMBOL, Add, Intro, IntroFamily,
+    Node, Red,
 )
 
 x = Poly.symbol(base_symbol("x"))
@@ -149,14 +151,35 @@ def test_semiprime_shape_and_capture():
 
 
 def test_node_budget():
-    b = DagBuilder(NIL, GENS, max_nodes=2)
+    with node_budget(2):
+        b = DagBuilder(NIL, GENS)
     b.zero()
     b.intro(0)
     b.zero()  # shared, costs nothing
     with pytest.raises(BudgetExceededError):
         b.intro(1)
-    with pytest.raises(WitnessError, match="positive"):
-        DagBuilder(NIL, GENS, max_nodes=0)
+    with node_budget(0), pytest.raises(WitnessError, match="positive"):
+        DagBuilder(NIL, GENS)
+
+
+def test_node_budgets_nest_and_restore_the_outer_one():
+    def budget() -> int:
+        return DagBuilder(NIL, GENS).max_nodes
+
+    assert budget() == DEFAULT_MAX_NODES
+    with node_budget(5):
+        with node_budget(2):
+            assert budget() == 2
+        assert budget() == 5
+        with pytest.raises(BudgetExceededError), node_budget(1):
+            b = DagBuilder(NIL, GENS)
+            b.zero()
+            b.intro(0)
+        assert budget() == 5
+        with pytest.raises(KeyError), node_budget(3):
+            raise KeyError("not a budget fault")
+        assert budget() == 5
+    assert budget() == DEFAULT_MAX_NODES
 
 
 def test_build_checks_root():
@@ -176,8 +199,8 @@ def test_from_dag_resumes_in_place():
     grown = resumed.build(top)
     assert grown.conclusion == x * dag.conclusion
     assert grown.nodes[: len(dag)] == dag.nodes
-    with pytest.raises(BudgetExceededError):
-        DagBuilder.from_dag(dag, max_nodes=1)
+    with node_budget(1), pytest.raises(BudgetExceededError):
+        DagBuilder.from_dag(dag)
 
 
 # -- substitution ----------------------------------------------------------
