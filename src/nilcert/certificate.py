@@ -66,7 +66,6 @@ __all__ = [
     "SQRT",
     "FORMAT_VERSION",
     "DEFAULT_MAX_NODES",
-    "NODE_BUDGET",
     "node_budget",
     "Intro",
     "IntroFamily",
@@ -93,18 +92,18 @@ SQRT = "sqrt"
 FORMAT_VERSION = 1
 DEFAULT_MAX_NODES = 10**6  # the node budget of a certificate or a built witness
 # the budget in force; read once per DagBuilder and once per certificate the CLI loads
-NODE_BUDGET: ContextVar[int] = ContextVar("NODE_BUDGET", default=DEFAULT_MAX_NODES)
+_NODE_BUDGET: ContextVar[int] = ContextVar("node_budget", default=DEFAULT_MAX_NODES)
 
 
 @contextmanager
 def node_budget(n: int):
     """Make n the node budget inside the block, as decimal.localcontext scopes
     precision; each DagBuilder keeps the budget in force when it is created."""
-    token = NODE_BUDGET.set(n)
+    token = _NODE_BUDGET.set(n)
     try:
         yield
     finally:
-        NODE_BUDGET.reset(token)
+        _NODE_BUDGET.reset(token)
 
 
 # -- node kinds -------------------------------------------------------
@@ -257,9 +256,10 @@ def dag_polys(generators: GeneratorSet, claim: Poly, nodes: Iterable[Node]) -> l
     """Every polynomial of a certificate or DAG, shared ones repeated."""
     polys = [*generators.all_polys(), claim]
     for node in nodes:
-        if type(node) not in _POLYS:
+        getter = _POLYS.get(type(node))
+        if getter is None:
             raise TypeError(f"unknown node kind {type(node).__name__}")
-        polys += _POLYS[type(node)](node)
+        polys += getter(node)
     return polys
 
 

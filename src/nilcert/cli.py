@@ -19,7 +19,7 @@ import sys
 
 import nilcert
 from nilcert.certificate import (
-    DEFAULT_MAX_NODES, NIL, NODE_BUDGET, Certificate, GeneratorSet, deserialize, node_budget,
+    DEFAULT_MAX_NODES, NIL, Certificate, GeneratorSet, _NODE_BUDGET, deserialize, node_budget,
     serialize,
 )
 from nilcert.checker import check_certificate
@@ -58,7 +58,7 @@ def _load(path: str) -> Certificate:
     """
     with open(path, "rb") as handle:
         cert = deserialize(handle.read())
-    max_nodes = NODE_BUDGET.get()
+    max_nodes = _NODE_BUDGET.get()
     if len(cert.nodes) > max_nodes:
         raise _InvalidInput(f"{path}: {len(cert.nodes)} nodes exceed the node budget {max_nodes}")
     return cert

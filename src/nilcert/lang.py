@@ -13,8 +13,8 @@ An integer has ASCII digits only.  In an ident, alpha and alnum are the
 characters for which str.isalpha() and str.isalnum() hold, and the
 ident must be declared in the alphabet.  `*` is the noncommutative
 product and must be written explicitly; `[p, q]` denotes the commutator
-p*q - q*p.  Brackets nest at most MAX_NESTING deep, and no value may
-outgrow MAX_SIZE.  Problem files are plain text, one `key: value` per
+p*q - q*p.  Brackets nest at most MAX_NESTING deep, and no product
+may outgrow MAX_SIZE.  Problem files are plain text, one `key: value` per
 line, with `;` separating list items and `#` starting a comment;
 parse_problem parses each expression once and returns the values, not
 the source strings.
@@ -27,7 +27,7 @@ from collections.abc import Mapping, Sequence
 
 from nilcert.certificate import NIL, SQRT
 from nilcert.record import Record
-from nilcert.ring import _NAME_RE, Poly, Symbol, base_symbol, commutator, format_poly
+from nilcert.ring import _NAME_RE, Poly, Symbol, base_symbol, format_poly
 
 __all__ = [
     "ParseError",
@@ -74,8 +74,8 @@ class ProblemError(ValueError):
 # Brackets may nest this deep in an expression, whatever the caller's
 # stack depth; each level takes three parser frames.
 MAX_NESTING = 100
-# A `*`, `^` or `[p, q]` is refused before it multiplies when its value could
-# hold more than MAX_SIZE letters and coefficient bits over all its terms.
+# A `*`, `^` or `[p, q]` is refused before it multiplies when a product it forms
+# could hold more than MAX_SIZE letters and coefficient bits over all its terms.
 MAX_SIZE = 10**6
 
 
@@ -149,9 +149,7 @@ class _Parser:
         acc = self.parse_factor()
         while self.peek()[0] == "*":
             offset = self.take()[2]
-            factor = self.parse_factor()
-            self.bounded(len(factor) * _size(acc) + len(acc) * _size(factor), offset)
-            acc = acc * factor
+            acc = self.product(acc, self.parse_factor(), offset)
         return -acc if negate else acc
 
     def parse_factor(self) -> Poly:
@@ -173,9 +171,8 @@ class _Parser:
             base = self.parse_poly()
             if kind == "[":
                 self.expect(",")
-                other = self.parse_poly()
-                self.bounded(2 * (len(other) * _size(base) + len(base) * _size(other)), offset)
-                base = commutator(base, other)
+                other = self.parse_poly()  # [p, q] = p*q - q*p; both products have one bound
+                base = self.product(base, other, offset) - other * base
             self.expect(")" if kind == "(" else "]")
             self.depth -= 1
         else:
@@ -183,18 +180,20 @@ class _Parser:
             raise ParseError(f"expected a factor, found {shown!r}", *_line_col(self.src, offset))
         while self.peek()[0] == "^":
             offset = self.take()[2]
-            exponent = self.integer(self.expect("int"))
-            if exponent > 1:  # _size(p^k) <= k * len(p)^(k-1) * _size(p)
-                # capped where 2^(k-1) alone would pass MAX_SIZE, so no huge power is formed
-                terms = len(base) ** min(exponent - 1, MAX_SIZE.bit_length())
-                self.bounded(exponent * terms * _size(base), offset)
-            base = base ** exponent
+            n, power = self.integer(self.expect("int")), Poly.one()
+            while n:  # square and multiply, as Poly.__pow__ does, bounding each product
+                if n & 1:
+                    power = self.product(power, base, offset)
+                n >>= 1
+                base = self.product(base, base, offset) if n else base
+            base = power
         return base
 
-    def bounded(self, size: int, offset: int) -> None:
-        if size > MAX_SIZE:
+    def product(self, p: Poly, q: Poly, offset: int) -> Poly:
+        if len(q) * _size(p) + len(p) * _size(q) > MAX_SIZE:
             raise ParseError(f"value could exceed {MAX_SIZE} letters and coefficient bits",
                              *_line_col(self.src, offset))
+        return p * q
 
     def integer(self, tok: tuple[str, str, int]) -> int:
         try:

@@ -14,7 +14,6 @@ from typing import Callable, Generator
 
 from nilcert.certificate import (
     NIL,
-    NODE_BUDGET,
     POLY,
     REF,
     SETTING_OF,
@@ -29,6 +28,7 @@ from nilcert.certificate import (
     Red,
     Semiprime,
     Zero,
+    _NODE_BUDGET,
     dag_polys,
     field_getters,
     map_fields,
@@ -107,7 +107,7 @@ class DagBuilder:
             for sym in poly.symbols():
                 if sym.is_schematic:
                     raise WitnessError(f"schematic symbol {sym.encode()} in generator set")
-        self.max_nodes = NODE_BUDGET.get()
+        self.max_nodes = _NODE_BUDGET.get()
         if self.max_nodes < 1:
             raise BudgetExceededError("max_nodes must be positive")
         self.setting = setting

@@ -119,6 +119,10 @@ def test_values_within_max_size_parse():
     assert len(parse_poly("(x+y)^15", XY)) == 2 ** 15
     assert parse_poly("x^100000", XY) == Poly.word((base_symbol("x"),) * 100000)
     assert parse_poly("0^99999 + (x+y)^0", XY) == Poly.one()
+    # merging terms keep these small, though (x+y)^16 is refused
+    for src in ["(x-1)^20", "(1+x)^20"]:
+        assert parse_poly(src, XY) == parse_poly(src[:-3], XY) ** 20
+        assert len(parse_poly(src, XY)) == 21
 
 
 def test_a_value_past_max_size_in_a_problem_names_the_line():
