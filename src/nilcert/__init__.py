@@ -35,6 +35,7 @@ _HOME = {
     "Permutation": "transforms", "TransformError": "transforms", "rotate": "transforms",
     "insert": "transforms", "permute": "transforms", "nil_product": "transforms",
     "nil_intersect": "transforms", "sqrt_product": "transforms", "sqrt_intersect": "transforms",
+    "fresh_middle": "transforms",
     "CentralConstants": "commutativity", "ProofStep": "commutativity",
     "ProofLog": "commutativity", "commutator_factor_witness": "commutativity",
     "central_roots_witness": "commutativity", "xn_demo": "commutativity",

@@ -245,8 +245,8 @@ class Certificate(Record):
     __slots__ = ()
 
     def __new__(cls, setting: str, symbols: tuple[str, ...], generators: GeneratorSet, claim: Poly,
-                nodes: tuple[Node, ...], root: int, version: int = FORMAT_VERSION):
-        return tuple.__new__(cls, (setting, symbols, generators, claim, nodes, root, version))
+                nodes: tuple[Node, ...], root: int):
+        return tuple.__new__(cls, (setting, symbols, generators, claim, nodes, root))
 
 
 _POLYS = field_getters(POLY)
@@ -291,8 +291,6 @@ def _node_json(node: Node, ident: int, poly: Callable[[Poly], str]) -> str:
 
 
 def serialize(cert: Certificate) -> bytes:
-    if cert.version != FORMAT_VERSION:
-        raise UnsupportedVersionError(cert.version)
     # one table orders and spells (as JSON strings) the symbols of every polynomial
     polys = dag_polys(cert.generators, cert.claim, cert.nodes)
     terms = term_sorter(polys, cert.symbols, lambda sym: json.dumps(sym.encode()))
@@ -332,8 +330,33 @@ _NODE_FORMS = {
 }
 
 
+def _fail(message: str, where: str) -> MalformedCertificateError:
+    return MalformedCertificateError(message, where=where)
+
+
+def _get(obj: dict, key: str, where: str) -> Any:
+    if key not in obj:
+        raise _fail(f"missing key {key!r}", where)
+    return obj[key]
+
+
+def _intval(value: Any, where: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise _fail("expected an integer", where)
+    return value
+
+
+def _list(obj: dict, key: str, what: str) -> list:
+    """The top-level value at ``key``, which must be a list of ``what``."""
+    value = _get(obj, key, "$")
+    if not isinstance(value, list):
+        raise _fail(f"expected a list of {what}", key)
+    return value
+
+
 class _Reader:
-    """Shape validation with JSON-path error reporting.
+    """Shape validation with JSON-path error reporting, against the
+    alphabet a certificate declares.
 
     Each symbol spelling and coefficient string is validated once per
     certificate.  Only a str that has passed goes into the memos, so a
@@ -342,109 +365,97 @@ class _Reader:
     path, which raises each error at the first JSON path that shows it.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, declared: frozenset) -> None:
+        self.declared = declared  # the base symbol names the certificate lists
         self.codes: dict[str, str] = {}  # spelling -> ring code
         self.coeffs: dict[str, int] = {}  # decimal string -> nonzero int
 
-    def fail(self, message: str, where: str) -> MalformedCertificateError:
-        return MalformedCertificateError(message, where=where)
-
-    def get(self, obj: dict, key: str, where: str) -> Any:
-        if key not in obj:
-            raise self.fail(f"missing key {key!r}", where)
-        return obj[key]
-
-    def intval(self, value: Any, where: str) -> int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise self.fail("expected an integer", where)
-        return value
-
-    def code(self, value: Any, declared: frozenset, where: str) -> str:
+    def code(self, value: Any, where: str) -> str:
         """The ring code of a symbol spelling, validated on its first use."""
         code = self.codes.get(value) if isinstance(value, str) else None
         if code is None:
             if not isinstance(value, str):
-                raise self.fail("expected a symbol string", where)
+                raise _fail("expected a symbol string", where)
             try:
                 sym = Symbol.decode(value)
             except ValueError as err:
-                raise self.fail(str(err), where) from None
-            if not sym.is_schematic and sym.name not in declared:
-                raise self.fail(f"symbol {sym.name!r} not declared", where)
+                raise _fail(str(err), where) from None
+            if not sym.is_schematic and sym.name not in self.declared:
+                raise _fail(f"symbol {sym.name!r} not declared", where)
             code = self.codes[value] = sym.code
         return code
 
     def coeff(self, value: Any, where: str) -> int:
         if not isinstance(value, str):
-            raise self.fail("coefficient must be a decimal string", where)
+            raise _fail("coefficient must be a decimal string", where)
         coeff = self.coeffs.get(value)
         if coeff is None:
             if not _NUMERAL.match(value.removeprefix("-")):
-                raise self.fail(f"bad coefficient {value!r}", where)
+                raise _fail(f"bad coefficient {value!r}", where)
             try:
                 coeff = int(value)
             except ValueError as err:  # past the interpreter's int/str digit limit
-                raise self.fail(str(err), where) from None
+                raise _fail(str(err), where) from None
             if coeff == 0:
-                raise self.fail("zero coefficient stored", where)
+                raise _fail("zero coefficient stored", where)
             self.coeffs[value] = coeff
         return coeff
 
-    def poly(self, value: Any, declared: frozenset, where: str) -> Poly:
+    def poly(self, value: Any, where: str) -> Poly:
         if type(value) is not list:
-            raise self.fail("expected a polynomial term list", where)
+            raise _fail("expected a polynomial term list", where)
         codes, coeffs = self.codes.__getitem__, self.coeffs.get
         terms: dict[str, int] = {}
         for item in value:
             # every term read so far is in terms, so len(terms) is this item's index
             if type(item) is not list or len(item) != 2:
-                raise self.fail("expected a [coefficient, word] pair", f"{where}[{len(terms)}]")
+                raise _fail("expected a [coefficient, word] pair", f"{where}[{len(terms)}]")
             coeff_raw, word_raw = item
             coeff = coeffs(coeff_raw) if type(coeff_raw) is str else None
             if coeff is None:
                 coeff = self.coeff(coeff_raw, f"{where}[{len(terms)}]")
             if type(word_raw) is not list:
-                raise self.fail("word must be a list of symbols", f"{where}[{len(terms)}]")
+                raise _fail("word must be a list of symbols", f"{where}[{len(terms)}]")
             try:
                 word = "".join(map(codes, word_raw))
             except (KeyError, TypeError):  # a spelling not yet passed, or not a str
                 here = f"{where}[{len(terms)}][1]"
-                word = "".join([self.code(s, declared, f"{here}[{j}]") for j, s in enumerate(word_raw)])
+                word = "".join([self.code(s, f"{here}[{j}]") for j, s in enumerate(word_raw)])
             if word in terms:
-                raise self.fail("duplicate word in polynomial", f"{where}[{len(terms)}]")
+                raise _fail("duplicate word in polynomial", f"{where}[{len(terms)}]")
             terms[word] = coeff
         return _wrap(terms)
 
-    def node(self, value: Any, index: int, declared: frozenset) -> Node:
+    def node(self, value: Any, index: int) -> Node:
         # JSON paths are spelled only where a value fails or holds a polynomial
         if not isinstance(value, dict):
-            raise self.fail("expected a node object", f"nodes[{index}]")
+            raise _fail("expected a node object", f"nodes[{index}]")
         ident = value.get("id")
         if type(ident) is not int or ident != index:
             where = f"nodes[{index}]"
-            self.intval(self.get(value, "id", where), f"{where}.id")
-            raise self.fail(f"node id must be {index} (dense ids)", f"{where}.id")
+            _intval(_get(value, "id", where), f"{where}.id")
+            raise _fail(f"node id must be {index} (dense ids)", f"{where}.id")
         op = value.get("op")
         form = _NODE_FORMS.get(op) if type(op) is str else None
         if form is None:
-            self.get(value, "op", f"nodes[{index}]")
-            raise self.fail(f"unknown op {op!r}", f"nodes[{index}].op")
+            _get(value, "op", f"nodes[{index}]")
+            raise _fail(f"unknown op {op!r}", f"nodes[{index}].op")
         kind, keys, fields = form
         if not keys.issuperset(value):
-            raise self.fail(f"unexpected keys {sorted(value.keys() - keys)!r}", f"nodes[{index}]")
+            raise _fail(f"unexpected keys {sorted(value.keys() - keys)!r}", f"nodes[{index}]")
         args = []
         for key, role in fields:
             if key not in value:
-                raise self.fail(f"missing key {key!r}", f"nodes[{index}]")
+                raise _fail(f"missing key {key!r}", f"nodes[{index}]")
             raw = value[key]
             if role == POLY:
-                raw = self.poly(raw, declared, f"nodes[{index}].{key}")
+                raw = self.poly(raw, f"nodes[{index}].{key}")
             elif role == SYMBOL:
                 if type(raw) is not str or raw not in self.codes:
-                    self.code(raw, declared, f"nodes[{index}].{key}")
+                    self.code(raw, f"nodes[{index}].{key}")
                 raw = Symbol.decode(raw)
             elif type(raw) is not int:
-                raise self.fail("expected an integer", f"nodes[{index}].{key}")
+                raise _fail("expected an integer", f"nodes[{index}].{key}")
             args.append(raw)
         return kind(*args)
 
@@ -468,68 +479,54 @@ def deserialize(data: bytes) -> Certificate:
     if not isinstance(obj, dict):
         raise MalformedCertificateError("top level must be an object")
 
-    reader = _Reader()
     expected = {"version", "setting", "symbols", "generators", "families", "claim", "nodes", "root"}
     extra = set(obj) - expected
     if extra:
-        raise reader.fail(f"unexpected keys {sorted(extra)!r}", "$")
+        raise _fail(f"unexpected keys {sorted(extra)!r}", "$")
 
-    version = reader.intval(reader.get(obj, "version", "$"), "version")
+    version = _intval(_get(obj, "version", "$"), "version")
     if version != FORMAT_VERSION:
         raise UnsupportedVersionError(version)
 
-    setting = reader.get(obj, "setting", "$")
+    setting = _get(obj, "setting", "$")
     if setting not in (NIL, SQRT):
-        raise reader.fail(f"setting must be 'nil' or 'sqrt', got {setting!r}", "setting")
+        raise _fail(f"setting must be 'nil' or 'sqrt', got {setting!r}", "setting")
 
-    symbols_raw = reader.get(obj, "symbols", "$")
-    if not isinstance(symbols_raw, list):
-        raise reader.fail("expected a list of names", "symbols")
     symbols: list[str] = []
-    for i, name in enumerate(symbols_raw):
+    for i, name in enumerate(_list(obj, "symbols", "names")):
         if not isinstance(name, str):
-            raise reader.fail("expected a symbol name", f"symbols[{i}]")
+            raise _fail("expected a symbol name", f"symbols[{i}]")
         try:
             sym = Symbol.decode(name)
         except ValueError as err:
-            raise reader.fail(str(err), f"symbols[{i}]") from None
+            raise _fail(str(err), f"symbols[{i}]") from None
         if sym.is_schematic:
-            raise reader.fail("declared symbols must be base symbols", f"symbols[{i}]")
+            raise _fail("declared symbols must be base symbols", f"symbols[{i}]")
         symbols.append(sym.name)
     if len(set(symbols)) != len(symbols):
-        raise reader.fail("duplicate symbol declaration", "symbols")
-    declared = frozenset(symbols)
+        raise _fail("duplicate symbol declaration", "symbols")
+    reader = _Reader(frozenset(symbols))
 
-    gens_raw = reader.get(obj, "generators", "$")
-    if not isinstance(gens_raw, list):
-        raise reader.fail("expected a list of polynomials", "generators")
-    elements = [
-        reader.poly(p, declared, f"generators[{i}]") for i, p in enumerate(gens_raw)
-    ]
+    gens_raw = _list(obj, "generators", "polynomials")
+    elements = [reader.poly(p, f"generators[{i}]") for i, p in enumerate(gens_raw)]
 
-    fams_raw = reader.get(obj, "families", "$")
-    if not isinstance(fams_raw, list):
-        raise reader.fail("expected a list of {left, right} pairs", "families")
     families = []
-    for i, pair in enumerate(fams_raw):
+    for i, pair in enumerate(_list(obj, "families", "{left, right} pairs")):
         where = f"families[{i}]"
         if not isinstance(pair, dict) or set(pair) != {"left", "right"}:
-            raise reader.fail("expected an object with keys left, right", where)
+            raise _fail("expected an object with keys left, right", where)
         families.append(
             (
-                reader.poly(pair["left"], declared, f"{where}.left"),
-                reader.poly(pair["right"], declared, f"{where}.right"),
+                reader.poly(pair["left"], f"{where}.left"),
+                reader.poly(pair["right"], f"{where}.right"),
             )
         )
 
-    claim = reader.poly(reader.get(obj, "claim", "$"), declared, "claim")
+    claim = reader.poly(_get(obj, "claim", "$"), "claim")
 
-    nodes_raw = reader.get(obj, "nodes", "$")
-    if not isinstance(nodes_raw, list):
-        raise reader.fail("expected a list of nodes", "nodes")
-    nodes = tuple(reader.node(n, i, declared) for i, n in enumerate(nodes_raw))
+    nodes = tuple(reader.node(n, i) for i, n in enumerate(_list(obj, "nodes", "nodes")))
 
-    root = reader.intval(reader.get(obj, "root", "$"), "root")
+    root = _intval(_get(obj, "root", "$"), "root")
 
     return Certificate(
         setting=setting,
@@ -538,5 +535,4 @@ def deserialize(data: bytes) -> Certificate:
         claim=claim,
         nodes=nodes,
         root=root,
-        version=version,
     )

@@ -6,8 +6,9 @@ Certificates contain no timestamps, so every command's output is
 byte-reproducible.  NILCERT_MAX_NODES sets each command's node budget.
 
 Only the trusted kernel is imported with this module, so ``check``
-runs on the kernel alone; each other command imports the layers it
-uses when it runs.
+runs on the kernel alone; each other command reaches its layers through
+the package's names, such as ``nilcert.permute``, which load their
+module on first use.
 """
 
 from __future__ import annotations
@@ -66,13 +67,10 @@ def _load(path: str) -> Certificate:
 
 def _load_dag(path: str) -> tuple[Certificate, nilcert.WitnessDag]:
     """Read a certificate file and build its DAG, checking it once."""
-    from nilcert.certio import dag_from_certificate
-    from nilcert.witness import WitnessError
-
     cert = _load(path)
     try:
-        return cert, dag_from_certificate(cert)
-    except WitnessError as err:
+        return cert, nilcert.dag_from_certificate(cert)
+    except nilcert.WitnessError as err:
         raise _InvalidInput(f"{path}: {err}") from None
 
 
@@ -82,12 +80,9 @@ class _InvalidInput(Exception):
 
 def _transform(transform, *args):
     """Call a transform; what it refuses is invalid input."""
-    from nilcert.transforms import TransformError
-    from nilcert.witness import WitnessError
-
     try:
         return transform(*args)
-    except (WitnessError, TransformError) as err:
+    except (nilcert.WitnessError, nilcert.TransformError) as err:
         raise _InvalidInput(str(err)) from None
 
 
@@ -100,8 +95,9 @@ def _require_valid(cert: Certificate, context: str) -> None:
 
 def _write_cert(cert: Certificate, path: str) -> None:
     _require_valid(cert, "produced certificate failed validation")
+    data = serialize(cert)  # before opening, so a failed write leaves the file as it was
     with open(path, "wb") as handle:
-        handle.write(serialize(cert))
+        handle.write(data)
     print(path)
 
 
@@ -113,15 +109,14 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    from nilcert.commutativity import xn_demo
-
     n = {"x2": 2, "x3": 3}[args.name]
-    cert, log = _transform(xn_demo, n)
+    cert, log = _transform(nilcert.xn_demo, n)
     out = args.out or f"{args.name}.cert.json"
     log_out = args.log or f"{args.name}.log.md"
+    text = log.render("markdown")
     _write_cert(cert, out)
     with open(log_out, "w", encoding="utf-8") as handle:
-        handle.write(log.render("markdown"))
+        handle.write(text)
     print(log_out)
     return 0
 
@@ -143,12 +138,8 @@ def _require_setting(*settings: str) -> str:
 
 
 def _cmd_product(args) -> int:
-    from nilcert.certio import certificate_from_dag
-    from nilcert.lang import parse_poly, parse_problem
-    from nilcert.transforms import fresh_middle, nil_product, sqrt_product
-
     with open(args.problem, "r", encoding="utf-8") as handle:
-        problem = parse_problem(handle.read())
+        problem = nilcert.parse_problem(handle.read())
     common, a, b = _split_product_generators(problem)
     p_cert, p_dag = _load_dag(args.p_certificate)
     q_cert, q_dag = _load_dag(args.q_certificate)
@@ -162,54 +153,47 @@ def _cmd_product(args) -> int:
     if setting == NIL:
         if args.m is not None:
             raise _InvalidInput("--m only applies to the sqrt setting")
-        out_dag = _transform(nil_product, p_dag, q_dag)
+        out_dag = _transform(nilcert.nil_product, p_dag, q_dag)
     else:
         if args.m is not None:
-            middle = parse_poly(args.m, problem.symbols)
+            middle = nilcert.parse_poly(args.m, problem.symbols)
         else:
-            middle = Poly.symbol(fresh_middle(p_dag, q_dag))
-        out_dag = _transform(sqrt_product, p_dag, q_dag, middle)
-    out_cert = certificate_from_dag(out_dag, symbols=problem.symbols)
+            middle = Poly.symbol(nilcert.fresh_middle(p_dag, q_dag))
+        out_dag = _transform(nilcert.sqrt_product, p_dag, q_dag, middle)
+    out_cert = nilcert.certificate_from_dag(out_dag, symbols=problem.symbols)
     _write_cert(out_cert, args.out or "product.cert.json")
     return 0
 
 
 def _cmd_permute(args) -> int:
-    from nilcert.certio import certificate_from_dag
-    from nilcert.lang import parse_poly
-    from nilcert.transforms import Permutation, permute
-
     cert, dag = _load_dag(args.certificate)
     factor_srcs = [s.strip() for s in args.factors.split(";") if s.strip()]
-    factors = [parse_poly(src, cert.symbols) for src in factor_srcs]
+    factors = [nilcert.parse_poly(src, cert.symbols) for src in factor_srcs]
     try:
         images = tuple(_numeral(part) for part in args.sigma.split(","))
     except ValueError:
         raise ValueError(f"--sigma must be a comma-separated list of integers: {args.sigma!r}")
-    sigma = Permutation(images)  # ValueError (exit 2) if not a bijection
+    sigma = nilcert.Permutation(images)  # ValueError (exit 2) if not a bijection
     if sigma.n != len(factors):
         raise ValueError(f"--sigma has {sigma.n} entries for {len(factors)} factors")
-    out_dag = _transform(permute, dag, factors, sigma)
-    out_cert = certificate_from_dag(out_dag, symbols=cert.symbols)
+    out_dag = _transform(nilcert.permute, dag, factors, sigma)
+    out_cert = nilcert.certificate_from_dag(out_dag, symbols=cert.symbols)
     _write_cert(out_cert, args.out or "permuted.cert.json")
     return 0
 
 
 def _cmd_intersect(args) -> int:
-    from nilcert.certio import certificate_from_dag
-    from nilcert.transforms import nil_intersect, sqrt_intersect
-
     p_cert, p_dag = _load_dag(args.p_certificate)
     q_cert, q_dag = _load_dag(args.q_certificate)
     setting = _require_setting(p_cert.setting, q_cert.setting)
     if setting == NIL:
-        out_dag = _transform(nil_intersect, p_dag, q_dag)
+        out_dag = _transform(nilcert.nil_intersect, p_dag, q_dag)
     else:
-        out_dag = _transform(sqrt_intersect, p_dag, q_dag)
+        out_dag = _transform(nilcert.sqrt_intersect, p_dag, q_dag)
     symbols = p_cert.symbols + tuple(
         name for name in q_cert.symbols if name not in p_cert.symbols
     )
-    out_cert = certificate_from_dag(out_dag, symbols=symbols)
+    out_cert = nilcert.certificate_from_dag(out_dag, symbols=symbols)
     _write_cert(out_cert, args.out or "intersect.cert.json")
     return 0
 

@@ -35,7 +35,9 @@ from nilcert import (
     serialize,
 )
 from nilcert.ring import SCHEMATIC, Symbol, sorted_terms
-from nilcert.certificate import FIELDS, Add, Intro, IntroFamily, Mult, Node, Red, Semiprime, Zero
+from nilcert.certificate import (
+    FIELDS, FORMAT_VERSION, Add, Intro, IntroFamily, Mult, Node, Red, Semiprime, Zero,
+)
 
 x = Poly.symbol(base_symbol("x"))
 y = Poly.symbol(base_symbol("y"))
@@ -125,7 +127,7 @@ def reference_serialize(cert: Certificate) -> bytes:
         for i, n in enumerate(cert.nodes)
     ]
     obj = {
-        "version": cert.version,
+        "version": FORMAT_VERSION,
         "setting": cert.setting,
         "symbols": list(cert.symbols),
         "generators": [poly(p) for p in cert.generators.elements],
@@ -240,12 +242,23 @@ def test_deserialize_rejects_deep_nesting():
 
 
 def test_deserialize_rejects_unsupported_version():
-    obj = json.loads(serialize(small_cert()))
-    obj["version"] = 2
-    with pytest.raises(UnsupportedVersionError):
-        deserialize(json.dumps(obj).encode())
-    with pytest.raises(UnsupportedVersionError):
-        serialize(small_cert()._replace(version=2))
+    # a Certificate holds no version, so the reader is the one place that checks it
+    for version, error, message in [
+        (2, UnsupportedVersionError, "version: unsupported certificate version 2"),
+        (0, UnsupportedVersionError, "version: unsupported certificate version 0"),
+        (True, MalformedCertificateError, "version: expected an integer"),
+        ("1", MalformedCertificateError, "version: expected an integer"),
+        (None, MalformedCertificateError, "version: expected an integer"),
+        (KeyError, MalformedCertificateError, "$: missing key 'version'"),
+    ]:
+        obj = json.loads(serialize(small_cert()))
+        if version is KeyError:
+            del obj["version"]
+        else:
+            obj["version"] = version
+        with pytest.raises(MalformedCertificateError) as info:
+            deserialize(json.dumps(obj).encode())
+        assert (type(info.value), str(info.value)) == (error, message)
 
 
 def mutate(field_path, value) -> bytes:

@@ -21,7 +21,6 @@ import nilcert
 import nilcert.certio as certio
 import nilcert.cli as cli
 import nilcert.lang as lang
-import nilcert.transforms as transforms
 from nilcert import (
     DagBuilder,
     GeneratorSet,
@@ -321,6 +320,23 @@ def test_product_sqrt_with_explicit_middle(tmp_path):
     # claim = x*(x*y - 3)*y
     assert obj["claim"] == [["1", ["x", "x", "y", "y"]], ["-3", ["x", "y"]]]
     assert run("check", str(out)).returncode == 0
+
+
+def test_a_failed_write_leaves_the_output_path_as_it_was(tmp_path):
+    (tmp_path / "prob.txt").write_text(SQRT_PROBLEM)
+    write_intro_cert(tmp_path / "p.json", SQRT, (x,), symbols=("x", "y"))
+    write_intro_cert(tmp_path / "q.json", SQRT, (y,), symbols=("x", "y"))
+    existing = tmp_path / "existing.json"
+    existing.write_bytes(b"earlier bytes\n")
+    fresh = tmp_path / "fresh.json"
+    for out in (existing, fresh):
+        # a coefficient past the interpreter's int/str digit limit fails in serialize
+        result = run("product", str(tmp_path / "prob.txt"), str(tmp_path / "p.json"),
+                     str(tmp_path / "q.json"), "--m", "2^20000", "-o", str(out))
+        assert result.returncode == 2
+        assert "Exceeds the limit (4300 digits)" in result.stderr
+    assert existing.read_bytes() == b"earlier bytes\n"
+    assert not fresh.exists()
 
 
 def test_product_sqrt_default_middle_is_schematic_and_reproducible(tmp_path):
@@ -682,9 +698,9 @@ def test_each_loaded_certificate_is_verified_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "check_certificate", counting_check)
     monkeypatch.setattr(certio, "check_certificate", counting_check)
     monkeypatch.setattr(DagBuilder, "_admit", counting_admit)
-    # the commands import the transforms when they run, so patch them at home
-    monkeypatch.setattr(transforms, "permute", after_loading(transforms.permute))
-    monkeypatch.setattr(transforms, "nil_intersect", after_loading(transforms.nil_intersect))
+    # the commands read the transforms through the package's names, so patch them there
+    monkeypatch.setattr(nilcert, "permute", after_loading(nilcert.permute))
+    monkeypatch.setattr(nilcert, "nil_intersect", after_loading(nilcert.nil_intersect))
 
     code, _, err = main_in_process(
         ["permute", str(path), "--factors", "x; y; z", "--sigma", "1,2,3",
