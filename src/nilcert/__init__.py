@@ -20,13 +20,12 @@ from importlib import import_module as _import_module
 _HOME = {
     "NIL": "certificate", "SQRT": "certificate",
     "Poly": "ring", "Symbol": "ring", "base_symbol": "ring", "fresh_schematic": "ring",
-    "commutator": "ring", "substitute": "ring",
+    "commutator": "ring",
     "ParseError": "lang", "ProblemError": "lang", "UndeclaredIdentifierError": "lang",
     "ProblemFile": "lang", "parse_poly": "lang", "print_poly": "lang", "parse_problem": "lang",
     "GeneratorSet": "certificate", "node_budget": "certificate",
     "WitnessDag": "witness", "DagBuilder": "witness", "WitnessError": "witness",
-    "BudgetExceededError": "witness", "conclusion_of": "witness",
-    "substitute_schematic": "witness",
+    "BudgetExceededError": "witness", "substitute_schematic": "witness",
     "Certificate": "certificate", "MalformedCertificateError": "certificate",
     "UnsupportedVersionError": "certificate", "serialize": "certificate",
     "deserialize": "certificate",

@@ -113,7 +113,7 @@ def _cmd_demo(args) -> int:
     cert, log = _transform(nilcert.xn_demo, n)
     out = args.out or f"{args.name}.cert.json"
     log_out = args.log or f"{args.name}.log.md"
-    text = log.render("markdown")
+    text = log.render()
     _write_cert(cert, out)
     with open(log_out, "w", encoding="utf-8") as handle:
         handle.write(text)

@@ -7,7 +7,9 @@ the linear factors; with the factors of x^n - x this certifies that a
 reduced ring satisfying x^n = x is commutative.  Two inferences stay
 outside the certificate (that x^n = x forces reducedness, and that the
 free-ring certificate instantiates into any such ring); they appear in
-the proof log as explicitly flagged narrative steps.
+the proof log as explicitly flagged narrative steps.  The log has one
+format, a markdown list with one item per step, which ``nilcert demo``
+writes and emit_proof_log returns.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from nilcert.transforms import nil_intersect
 
 __all__ = [
     "CentralConstants",
-    "UnsupportedExponentError",
     "ProofStep",
     "ProofLog",
     "commutator_factor_witness",
@@ -59,16 +60,12 @@ class CentralConstants(Record):
         return tuple.__new__(cls, (constants,))
 
 
-class UnsupportedExponentError(ValueError):
-    pass
-
-
 class ProofStep(Record):
     __slots__ = ()
 
-    def __new__(cls, statement: str, kind: str, cert_ref: tuple[int, int] | None = None):
-        # kind is "certified" or "narrative"
-        return tuple.__new__(cls, (statement, kind, cert_ref))
+    def __new__(cls, statement: str, kind: str, node: int | None = None):
+        # kind is "certified" or "narrative"; node is the certificate node it cites
+        return tuple.__new__(cls, (statement, kind, node))
 
 
 class ProofLog(Record):
@@ -77,19 +74,12 @@ class ProofLog(Record):
     def __new__(cls, steps: tuple[ProofStep, ...]):
         return tuple.__new__(cls, (steps,))
 
-    def render(self, style: str = "text") -> str:
-        if style not in ("text", "markdown"):
-            raise ValueError(f"unknown style {style!r}")
+    def render(self) -> str:
+        """The log as a markdown list, one item per step."""
         lines = []
         for step in self.steps:
-            ref = ""
-            if step.cert_ref is not None:
-                lo, hi = step.cert_ref
-                ref = f" (node {lo})" if lo == hi else f" (nodes {lo}..{hi})"
-            if style == "markdown":
-                lines.append(f"- **{step.kind}.** {step.statement}{ref}")
-            else:
-                lines.append(f"[{step.kind}] {step.statement}{ref}")
+            ref = "" if step.node is None else f" (node {step.node})"
+            lines.append(f"- **{step.kind}.** {step.statement}{ref}")
         return "\n".join(lines) + "\n"
 
 
@@ -138,7 +128,7 @@ def xn_demo(n: int) -> tuple[Certificate, ProofLog]:
     construction needs.  (Already x^5 - x carries the factor x^2 + 1.)
     """
     if n not in _DEMOS:
-        raise UnsupportedExponentError(
+        raise ValueError(
             f"no all-integer linear factorization of x^{n} - x; supported: 2, 3"
         )
     # the certificate keeps the DAG's node ids, so its conclusions apply
@@ -159,7 +149,7 @@ def xn_demo(n: int) -> tuple[Certificate, ProofLog]:
             "Nil(U,a) & Nil(U,b) <= Nil(U,a*b), folded over the linear factors "
             f"of {generator}.",
             "certified",
-            (cert.root, cert.root),
+            cert.root,
         ),
         ProofStep(
             f"In a ring where z^{n} = z for every element z, the generator "
@@ -172,12 +162,12 @@ def xn_demo(n: int) -> tuple[Certificate, ProofLog]:
     return cert, ProofLog(steps)
 
 
-def emit_proof_log(cert: Certificate, style: str = "text") -> str:
-    """Render the step-by-step replay of a valid certificate."""
+def emit_proof_log(cert: Certificate) -> str:
+    """The step-by-step replay of a valid certificate, as ProofLog.render writes it."""
     verdict = check_certificate(cert)
     if not verdict:
         raise WitnessError(str(verdict))
-    return ProofLog(_replay_steps(cert, verdict.conclusions)).render(style)
+    return ProofLog(_replay_steps(cert, verdict.conclusions)).render()
 
 
 def _replay_steps(cert: Certificate, concl: tuple[Poly, ...]) -> tuple[ProofStep, ...]:
@@ -205,5 +195,5 @@ def _replay_steps(cert: Certificate, concl: tuple[Poly, ...]) -> tuple[ProofStep
         else:
             rule = "zero is in every ideal"
         statement = f"{print_poly(concl[i], cert.symbols)} is in {ideal}(U): {rule}."
-        steps.append(ProofStep(statement, "certified", (i, i)))
+        steps.append(ProofStep(statement, "certified", i))
     return tuple(steps)

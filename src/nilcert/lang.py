@@ -23,7 +23,7 @@ the source strings.
 from __future__ import annotations
 
 import re
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from nilcert.certificate import NIL, SQRT
 from nilcert.record import Record
@@ -203,25 +203,15 @@ class _Parser:
                              *_line_col(self.src, tok[2])) from None
 
 
-def _alphabet(symbols) -> dict[str, Symbol]:
-    if isinstance(symbols, Mapping):
-        return dict(symbols)
-    table: dict[str, Symbol] = {}
-    for item in symbols:
-        sym = item if isinstance(item, Symbol) else base_symbol(item)
-        table[sym.name] = sym
-    return table
-
-
-def parse_poly(src: str, symbols) -> Poly:
+def parse_poly(src: str, symbols: Iterable[str]) -> Poly:
     """Parse ``src`` against a declared alphabet.
 
-    ``symbols`` may be an iterable of names (or Symbol objects) or a
-    name-to-Symbol mapping.  Identifiers outside the alphabet raise
+    ``symbols`` are the names of the base symbols an identifier may
+    denote.  Identifiers outside the alphabet raise
     UndeclaredIdentifierError.  A bracket nested more than MAX_NESTING
     deep raises ParseError at that bracket.
     """
-    parser = _Parser(src, _tokenize(src), _alphabet(symbols))
+    parser = _Parser(src, _tokenize(src), {name: base_symbol(name) for name in symbols})
     try:
         poly = parser.parse_poly()
     except RecursionError:  # a caller within 3 * MAX_NESTING frames of the limit
@@ -305,11 +295,9 @@ def parse_problem(src: str) -> ProblemFile:
     if families and setting != SQRT:
         raise ProblemError("families are only allowed when setting is sqrt", lines["families"])
 
-    alphabet = {name: base_symbol(name) for name in symbols}
-
     def parse(key: str, expr: str) -> Poly:
         try:
-            return parse_poly(expr, alphabet)
+            return parse_poly(expr, symbols)
         except ParseError as err:
             raise ProblemError(f"in {key}: {_quoted(expr)}: {err.message}", lines[key]) from err
 

@@ -18,7 +18,7 @@ import itertools
 import re
 import sys
 import threading
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 __all__ = [
     "BASE",
@@ -29,8 +29,6 @@ __all__ = [
     "base_symbol",
     "fresh_schematic",
     "commutator",
-    "substitute",
-    "sorted_terms",
     "term_sorter",
     "symbols_of",
     "format_poly",
@@ -134,18 +132,13 @@ class Poly:
 
     __slots__ = ("_terms", "_hash")
 
-    def __init__(self, terms: Mapping[Word, int] | Iterable[tuple[Word, int]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Word, int] = {}
-        for word, coeff in items:
+    def __init__(self, terms: Mapping[Word, int]):
+        acc: dict[str, int] = {}
+        for word, coeff in terms.items():  # distinct words have distinct codes
             if not isinstance(coeff, int):
                 raise TypeError("coefficients must be int")
-            word = "".join([sym.code for sym in word])
-            coeff = acc.get(word, 0) + coeff
             if coeff:
-                acc[word] = coeff
-            else:
-                acc.pop(word, None)
+                acc["".join([sym.code for sym in word])] = coeff
         self._terms = acc
         self._hash = None
 
@@ -167,22 +160,11 @@ class Poly:
     def symbol(cls, sym: Symbol) -> "Poly":
         return _wrap({sym.code: 1})
 
-    @classmethod
-    def word(cls, symbols: Iterable[Symbol], coeff: int = 1) -> "Poly":
-        return cls({tuple(symbols): coeff})
-
     # -- structure ---------------------------------------------------
 
     @property
     def terms(self) -> Mapping[Word, int]:
         return {_decode(w): c for w, c in self._terms.items()}
-
-    def items(self) -> Iterator[tuple[Word, int]]:
-        return ((_decode(w), c) for w, c in self._terms.items())
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def symbols(self) -> set[Symbol]:
         return symbols_of((self,))
@@ -324,21 +306,13 @@ def commutator(p: Poly, q: Poly) -> Poly:
     return p * q - q * p
 
 
-def substitute(p: Poly, bindings: Mapping[Symbol, Poly]) -> Poly:
-    return p.substitute(bindings)
-
-
-def sorted_terms(p: Poly, order: Sequence[str] | None = None) -> list[tuple[Word, int]]:
-    """Terms in graded-lexicographic order: degree descending, then the
-    word order induced by the declared symbol order (name order when no
-    declaration is given).  Serialization-only; never affects semantics."""
-    return term_sorter((p,), order)(p)
-
-
 def term_sorter(polys: Iterable[Poly], order: Sequence[str] | None = None,
                 spell: Callable[[Symbol], object] = lambda sym: sym) -> Callable[[Poly], list]:
-    """``sorted_terms`` for any poly over the symbols of ``polys``, spelling each
-    symbol as ``spell(sym)``; the order is total, so one table serves them all."""
+    """A function giving the terms of any poly over the symbols of ``polys``
+    in graded-lexicographic order: degree descending, then the word order
+    induced by the declared symbol order (name order when no declaration is
+    given), each symbol spelled as ``spell(sym)``.  The order is total, so one
+    table serves them all.  Serialization-only; never affects semantics."""
     rank = {name: i for i, name in enumerate(order or ())}
 
     def sym_key(sym: Symbol) -> tuple:

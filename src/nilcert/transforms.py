@@ -43,10 +43,6 @@ from nilcert.witness import DagBuilder, WitnessDag, dag_symbols, induction
 
 __all__ = [
     "TransformError",
-    "SettingMismatchError",
-    "GeneratorMismatchError",
-    "FactorizationMismatchError",
-    "ConclusionMismatchError",
     "Permutation",
     "rotate",
     "insert",
@@ -61,22 +57,6 @@ __all__ = [
 
 class TransformError(Exception):
     """A transform precondition does not hold."""
-
-
-class SettingMismatchError(TransformError):
-    pass
-
-
-class GeneratorMismatchError(TransformError):
-    pass
-
-
-class FactorizationMismatchError(TransformError):
-    pass
-
-
-class ConclusionMismatchError(TransformError):
-    pass
 
 
 class Permutation(Record):
@@ -110,7 +90,7 @@ _Env = tuple[tuple[Symbol, Poly], ...]  # pending (bound, image) instances
 
 def _rotate_at(builder: DagBuilder, node_id: int, u: Poly, v: Poly) -> int:
     if builder.conclusion(node_id) != u * v:
-        raise FactorizationMismatchError(
+        raise TransformError(
             f"witness concludes {builder.conclusion(node_id)}, not ({u})*({v})"
         )
     return builder.red(builder.mult(v, node_id, u), v * u)
@@ -148,7 +128,7 @@ def permute(w: WitnessDag, factors: Sequence[Poly], sigma: Permutation) -> Witne
     if sigma.n != n:
         raise TransformError(f"permutation of size {sigma.n} applied to {n} factors")
     if math.prod(factors, start=_ONE) != w.conclusion:
-        raise FactorizationMismatchError("factors do not multiply to the conclusion")
+        raise TransformError("factors do not multiply to the conclusion")
     if sigma.is_identity:
         return w
 
@@ -202,9 +182,9 @@ def _split_distinguished(
     pe = p.generators.elements
     qe = q.generators.elements
     if not pe or not qe:
-        raise GeneratorMismatchError("both inputs need a distinguished generator")
+        raise TransformError("both inputs need a distinguished generator")
     if pe[:-1] != qe[:-1] or p.generators.families != q.generators.families:
-        raise GeneratorMismatchError(
+        raise TransformError(
             "generator sets must agree except in the last element"
         )
     return pe[:-1], pe[-1], qe[-1]
@@ -243,7 +223,7 @@ def nil_product(p: WitnessDag, q: WitnessDag) -> WitnessDag:
     in with an insert would square the doubled word c*y*c*y.
     """
     if p.setting != NIL or q.setting != NIL:
-        raise SettingMismatchError("nil_product needs two nil witnesses")
+        raise TransformError("nil_product needs two nil witnesses")
     common, a, b = _split_distinguished(p, q)
     out = DagBuilder(NIL, GeneratorSet(common + (a * b,)))
     distinguished = len(common)
@@ -304,7 +284,7 @@ def nil_intersect(p: WitnessDag, q: WitnessDag) -> WitnessDag:
     c in Nil(U, a*b), by halving the product witness of c*c."""
     c = p.conclusion
     if c != q.conclusion:
-        raise ConclusionMismatchError("the two witnesses conclude different elements")
+        raise TransformError("the two witnesses conclude different elements")
     squared = nil_product(p, q)
     builder = DagBuilder.from_dag(squared)
     return builder.build(builder.red(squared.root, c))
@@ -327,7 +307,7 @@ def sqrt_product(p: WitnessDag, q: WitnessDag, m: Poly) -> WitnessDag:
     and substitute replaces all bindings at once.
     """
     if p.setting != SQRT or q.setting != SQRT:
-        raise SettingMismatchError("sqrt_product needs two sqrt witnesses")
+        raise TransformError("sqrt_product needs two sqrt witnesses")
     common, a, b = _split_distinguished(p, q)
     families = p.generators.families
     out = DagBuilder(SQRT, GeneratorSet(common, families + ((a, b),)))
@@ -398,7 +378,7 @@ def sqrt_intersect(p: WitnessDag, q: WitnessDag) -> WitnessDag:
     """
     c = p.conclusion
     if c != q.conclusion:
-        raise ConclusionMismatchError("the two witnesses conclude different elements")
+        raise TransformError("the two witnesses conclude different elements")
     bound = fresh_middle(p, q)
     product = sqrt_product(p, q, Poly.symbol(bound))
     builder = DagBuilder.from_dag(product)

@@ -41,7 +41,6 @@ __all__ = [
     "BudgetExceededError",
     "WitnessDag",
     "DagBuilder",
-    "conclusion_of",
     "dag_symbols",
     "substitute_schematic",
 ]
@@ -75,12 +74,6 @@ class WitnessDag(Record):
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-
-def conclusion_of(dag: WitnessDag, node_id: int) -> Poly:
-    if not 0 <= node_id < len(dag.nodes):
-        raise WitnessError(f"dangling node id {node_id}")
-    return dag.conclusions[node_id]
 
 
 def _adder(kind: type) -> Callable[..., int]:
@@ -249,7 +242,7 @@ def substitute_schematic(dag: WitnessDag, sym: Symbol, value: Poly) -> WitnessDa
     Every Poly field is rewritten under sym -> value.  Semiprime bounds are
     renamed to symbols fresh for the witness and the value whenever the
     substitution touches them or could capture a symbol of its values, so the
-    result never captures and conclusion_of commutes with the substitution.
+    result never captures and each conclusion is its source node's, substituted.
     The node count of the tree unfolding is preserved.
     """
     if not sym.is_schematic:

@@ -113,6 +113,28 @@ def test_demo_output_is_reproducible_across_processes(tmp_path):
     assert (one / "x3.log.md").read_text() == (two / "x3.log.md").read_text()
 
 
+def test_a_demo_that_fails_midway_names_only_the_files_it_wrote(tmp_path):
+    # the certificate is written before the log, and stdout names each file once it is written
+    with open(os.path.join(GOLDEN, "x2.cert.json"), "rb") as handle:
+        golden = handle.read()
+    (tmp_path / "logdir").mkdir()
+    result = run("demo", "x2", "-o", "c.json", "--log", "logdir", cwd=tmp_path)
+    assert result.returncode == 2
+    assert result.stdout == "c.json\n"
+    assert result.stderr.startswith("nilcert: ") and "logdir" in result.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "logdir"]
+    assert (tmp_path / "c.json").read_bytes() == golden
+    assert not any((tmp_path / "logdir").iterdir())
+
+    (tmp_path / "outdir").mkdir()
+    result = run("demo", "x2", "-o", "outdir", "--log", "l.md", cwd=tmp_path)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("nilcert: ") and "outdir" in result.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "logdir", "outdir"]
+    assert not any((tmp_path / "outdir").iterdir())
+
+
 def test_demo_rejects_unknown_exponents():
     result = run("demo", "x5")
     assert result.returncode == 2  # argparse usage error

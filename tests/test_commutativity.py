@@ -27,7 +27,6 @@ from nilcert import (
     serialize,
     xn_demo,
 )
-from nilcert.commutativity import UnsupportedExponentError
 
 x = Poly.symbol(base_symbol("x"))
 y = Poly.symbol(base_symbol("y"))
@@ -101,10 +100,10 @@ def test_xn_demo_log_shape():
     summary = steps[-2]
     assert summary.kind == "certified"
     assert "intersection rule" in summary.statement
-    assert summary.cert_ref == (cert.root, cert.root)
+    assert summary.node == cert.root
     for i, step in enumerate(steps[1:-2]):
         assert step.kind == "certified"
-        assert step.cert_ref == (i, i)
+        assert step.node == i
         assert "is in Nil(U)" in step.statement
 
 
@@ -112,53 +111,46 @@ def test_xn_demo_is_deterministic():
     c1, l1 = xn_demo(3)
     c2, l2 = xn_demo(3)
     assert serialize(c1) == serialize(c2)
-    assert l1.render("markdown") == l2.render("markdown")
-    assert l1.render("text") == l2.render("text")
+    assert l1.render() == l2.render()
 
 
 def test_xn_demo_rejects_other_exponents():
     for n in (1, 4, 5, 6):
-        with pytest.raises(UnsupportedExponentError):
+        message = rf"no all-integer linear factorization of x\^{n} - x; supported: 2, 3"
+        with pytest.raises(ValueError, match=message):
             xn_demo(n)
 
 
-def test_render_styles():
+def test_render_writes_one_markdown_item_per_step():
     log = ProofLog(
         (
             ProofStep("alpha.", "narrative"),
-            ProofStep("beta.", "certified", (0, 0)),
-            ProofStep("gamma.", "certified", (2, 5)),
+            ProofStep("beta.", "certified", 0),
+            ProofStep("gamma.", "certified", 5),
         )
     )
-    text = log.render("text")
-    assert text.splitlines() == [
-        "[narrative] alpha.",
-        "[certified] beta. (node 0)",
-        "[certified] gamma. (nodes 2..5)",
-    ]
-    md = log.render("markdown")
-    assert md.splitlines()[0] == "- **narrative.** alpha."
-    assert md.endswith("\n")
-    with pytest.raises(ValueError):
-        log.render("html")
+    assert log.render() == (
+        "- **narrative.** alpha.\n"
+        "- **certified.** beta. (node 0)\n"
+        "- **certified.** gamma. (node 5)\n"
+    )
 
 
 def test_emit_proof_log_replays_every_node():
     cert, _ = xn_demo(2)
-    text = emit_proof_log(cert)
-    assert len(text.splitlines()) == len(cert.nodes)
-    md = emit_proof_log(cert, style="markdown")
+    md = emit_proof_log(cert)
+    assert len(md.splitlines()) == len(cert.nodes)
     assert all(line.startswith("- **certified.**") for line in md.splitlines())
 
 
 def test_emit_proof_log_of_a_sqrt_certificate_names_family_and_semiprime_steps():
     cert = deserialize((GOLDEN / "intersect_sqrt.cert.json").read_bytes())
     assert emit_proof_log(cert).splitlines() == [
-        "[certified] x*y*z#0*x*y is in sqrt(U): introduction from family 0 at instance "
+        "- **certified.** x*y*z#0*x*y is in sqrt(U): introduction from family 0 at instance "
         "y*z#0*x. (node 0)",
-        "[certified] x*y*z#0*x*y is in sqrt(U): two-sided multiple of node 0. (node 1)",
-        "[certified] x*y*z#0*x*y is in sqrt(U): two-sided multiple of node 1. (node 2)",
-        "[certified] x*y is in sqrt(U): semiprime rule on node 2, quantified over the "
+        "- **certified.** x*y*z#0*x*y is in sqrt(U): two-sided multiple of node 0. (node 1)",
+        "- **certified.** x*y*z#0*x*y is in sqrt(U): two-sided multiple of node 1. (node 2)",
+        "- **certified.** x*y is in sqrt(U): semiprime rule on node 2, quantified over the "
         "schematic bound z#0. (node 3)",
     ]
 
@@ -166,8 +158,8 @@ def test_emit_proof_log_of_a_sqrt_certificate_names_family_and_semiprime_steps()
 def test_emit_proof_log_for_a_zero_only_certificate():
     b = DagBuilder(NIL, GeneratorSet())
     cert = certificate_from_dag(b.build(b.zero()))
-    text = emit_proof_log(cert)
-    assert text == "[certified] 0 is in Nil(U): zero is in every ideal. (node 0)\n"
+    md = emit_proof_log(cert)
+    assert md == "- **certified.** 0 is in Nil(U): zero is in every ideal. (node 0)\n"
 
 
 def test_emit_proof_log_refuses_invalid_certificates():

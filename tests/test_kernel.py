@@ -123,6 +123,42 @@ def test_star_import_binds_every_public_name():
         assert namespace[name] is getattr(nilcert, name), name
 
 
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if not path.stem.startswith("__"))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_modules_star_import_binds_its_all(module):
+    namespace: dict = {}
+    exec(f"from nilcert.{module} import *", namespace)
+    listed = importlib.import_module(f"nilcert.{module}").__all__
+    assert [name for name in listed if name not in namespace] == []
+
+
+def module_level(body: list[ast.stmt]):
+    """The statements of ``body`` and of the blocks in it, outside functions and classes."""
+    for node in body:
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for block in ("body", "orelse", "finalbody", "handlers"):
+                yield from module_level(getattr(node, block, []))
+
+
+def test_every_module_level_import_is_used_or_exported():
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), path.name)
+        module = "nilcert" if path.stem == "__init__" else f"nilcert.{path.stem}"
+        kept = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        kept |= set(getattr(importlib.import_module(module), "__all__", ()))
+        imported = [
+            (alias.asname or alias.name).partition(".")[0]
+            for statement in module_level(tree.body)
+            if isinstance(statement, (ast.Import, ast.ImportFrom))
+            and getattr(statement, "module", None) != "__future__"
+            for alias in statement.names
+        ]
+        assert [name for name in imported if name not in kept] == [], path.name
+
+
 def test_no_public_callable_takes_a_node_budget():
     # the budget is scoped by node_budget, never passed down through signatures
     found = [getattr(nilcert, name) for name in nilcert.__all__]

@@ -39,7 +39,7 @@ def rand_poly(
         for _ in range(rng.randint(0, max_word)):
             word = word * Poly.symbol(base_symbol(rng.choice(names)))
         total = total + word
-    if nonzero and total.is_zero:
+    if nonzero and not total:
         return Poly.symbol(base_symbol(rng.choice(names)))
     return total
 
