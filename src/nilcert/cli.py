@@ -93,12 +93,24 @@ def _require_valid(cert: Certificate, context: str) -> None:
         raise _InvalidInput(f"{context}: {verdict}")
 
 
+def _write(path: str, data: bytes) -> None:
+    """Write data over path in place, then name it on stdout.
+
+    An open without O_TRUNC skips freeing the old blocks first; the tail
+    is cut only when the old file was longer, so a pipe is never truncated.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as handle:
+        handle.write(data)
+        if os.fstat(fd).st_size > len(data):
+            handle.truncate()
+    print(path)
+
+
 def _write_cert(cert: Certificate, path: str) -> None:
     _require_valid(cert, "produced certificate failed validation")
     data = serialize(cert)  # before opening, so a failed write leaves the file as it was
-    with open(path, "wb") as handle:
-        handle.write(data)
-    print(path)
+    _write(path, data)
 
 
 def _cmd_check(args) -> int:
@@ -113,11 +125,9 @@ def _cmd_demo(args) -> int:
     cert, log = _transform(nilcert.xn_demo, n)
     out = args.out or f"{args.name}.cert.json"
     log_out = args.log or f"{args.name}.log.md"
-    text = log.render()
+    text = log.render().encode("utf-8")
     _write_cert(cert, out)
-    with open(log_out, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    print(log_out)
+    _write(log_out, text)
     return 0
 
 

@@ -12,6 +12,7 @@ import io
 import json
 import os
 import runpy
+import stat
 import subprocess
 import sys
 
@@ -133,6 +134,43 @@ def test_a_demo_that_fails_midway_names_only_the_files_it_wrote(tmp_path):
     assert result.stderr.startswith("nilcert: ") and "outdir" in result.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "logdir", "outdir"]
     assert not any((tmp_path / "outdir").iterdir())
+
+
+def test_an_output_over_an_existing_file_holds_exactly_the_new_bytes(tmp_path):
+    # outputs are written in place, so an older, longer file must lose its tail
+    with open(os.path.join(GOLDEN, "x2.cert.json"), "rb") as handle:
+        cert_bytes = handle.read()
+    log_bytes = xn_demo(2)[1].render().encode("utf-8")
+    cert, log = tmp_path / "c.json", tmp_path / "l.md"
+    for old in (b"{}\n", cert_bytes + log_bytes + b"old tail\n" * 100):
+        cert.write_bytes(old), log.write_bytes(old)
+        code, out, err = main_in_process(["demo", "x2", "-o", str(cert), "--log", str(log)])
+        assert (code, out) == (0, f"{cert}\n{log}\n"), err
+        assert cert.read_bytes() == cert_bytes
+        assert log.read_bytes() == log_bytes
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+def test_a_new_output_gets_the_mode_the_umask_leaves(tmp_path):
+    cert, log = tmp_path / "c.json", tmp_path / "l.md"
+    umask = os.umask(0o027)
+    try:
+        code, _, err = main_in_process(["demo", "x2", "-o", str(cert), "--log", str(log)])
+    finally:
+        os.umask(umask)
+    assert code == 0, err
+    assert [stat.S_IMODE(path.stat().st_mode) for path in (cert, log)] == [0o640, 0o640]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_demo_writes_its_certificate_into_a_pipe(tmp_path):
+    # stdout is a pipe here, and truncating a pipe fails with EINVAL
+    with open(os.path.join(GOLDEN, "x2.cert.json"), "rb") as handle:
+        golden = handle.read().decode("ascii")
+    result = run("demo", "x2", "-o", "/dev/stdout", "--log", "/dev/null", cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == golden + "/dev/stdout\n/dev/null\n"
+    assert not any(tmp_path.iterdir())
 
 
 def test_demo_rejects_unknown_exponents():

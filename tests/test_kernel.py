@@ -205,3 +205,50 @@ KERNEL_LINES = 227
 def test_the_kernel_does_not_grow(fresh_trace):
     counts, stdout = fresh_trace
     assert counts["total"] <= KERNEL_LINES, stdout
+
+
+# -- writing files ------------------------------------------------------------
+
+
+def calls_by_function(node: ast.AST, owner: str | None = None):
+    """Each call in a parsed file, with the name of the function it is in."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from calls_by_function(child, child.name)
+            continue
+        if isinstance(child, ast.Call):
+            yield owner, child
+        yield from calls_by_function(child, owner)
+
+
+def writes_a_file(call: ast.Call) -> bool:
+    """An ``open(...)`` whose mode writes (a mode that is not a literal
+    counts), or a ``write_bytes`` or ``write_text`` call."""
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr in ("write_bytes", "write_text")
+    if not (isinstance(call.func, ast.Name) and call.func.id == "open"):
+        return False
+    modes = call.args[1:2] + [word.value for word in call.keywords if word.arg == "mode"]
+    return bool(modes) and (not isinstance(modes[0], ast.Constant)
+                            or any(flag in modes[0].value for flag in "wax+"))
+
+
+def test_every_output_is_written_by_the_one_in_place_writer():
+    # an open with O_TRUNC costs far more than one without, so cli._write alone opens for writing
+    descriptor_opens, writing_opens = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for owner, call in calls_by_function(ast.parse(path.read_text(), path.name)):
+            where = (path.name, owner)
+            if ast.unparse(call.func) in ("os.open", "os.fdopen", "io.open"):
+                descriptor_opens.append((where, call))
+            elif writes_a_file(call):
+                writing_opens.append((where, call))
+    assert [where for where, _ in descriptor_opens] == [("cli.py", "_write")]
+    assert ast.unparse(descriptor_opens[0][1].func) == "os.open"
+    assert "O_TRUNC" not in ast.unparse(descriptor_opens[0][1])
+    assert [where for where, _ in writing_opens] == [("cli.py", "_write")]
+    (write,) = [node for node in source("cli.py").body
+                if isinstance(node, ast.FunctionDef) and node.name == "_write"]
+    assigned = {ast.unparse(node.value): node.targets[0].id
+                for node in ast.walk(write) if isinstance(node, ast.Assign)}
+    assert ast.unparse(writing_opens[0][1].args[0]) == assigned[ast.unparse(descriptor_opens[0][1])]
