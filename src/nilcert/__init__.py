@@ -20,18 +20,16 @@ from importlib import import_module as _import_module
 _HOME = {
     "NIL": "certificate", "SQRT": "certificate",
     "Poly": "ring", "Symbol": "ring", "base_symbol": "ring", "fresh_schematic": "ring",
-    "commutator": "ring",
-    "ParseError": "lang", "ProblemError": "lang", "UndeclaredIdentifierError": "lang",
+    "ParseError": "lang", "ProblemError": "lang",
     "ProblemFile": "lang", "parse_poly": "lang", "print_poly": "lang", "parse_problem": "lang",
     "GeneratorSet": "certificate", "node_budget": "certificate",
     "WitnessDag": "witness", "DagBuilder": "witness", "WitnessError": "witness",
     "BudgetExceededError": "witness", "substitute_schematic": "witness",
     "Certificate": "certificate", "MalformedCertificateError": "certificate",
-    "UnsupportedVersionError": "certificate", "serialize": "certificate",
-    "deserialize": "certificate",
+    "serialize": "certificate", "deserialize": "certificate",
     "certificate_from_dag": "certio", "dag_from_certificate": "certio",
     "Verdict": "checker", "check_certificate": "checker",
-    "Permutation": "transforms", "TransformError": "transforms", "rotate": "transforms",
+    "Permutation": "transforms", "TransformError": "transforms",
     "insert": "transforms", "permute": "transforms", "nil_product": "transforms",
     "nil_intersect": "transforms", "sqrt_product": "transforms", "sqrt_intersect": "transforms",
     "fresh_middle": "transforms",

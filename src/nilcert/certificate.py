@@ -45,9 +45,9 @@ structure only; whether the derivation itself holds is the checker's
 job, so reference targets, cycles, and side conditions all pass through
 untouched.  Symbols are interned (one object per spelling), and the
 reader builds ring words straight from the codes of the spellings it
-has already validated in the same certificate.  The reader takes a
-node's fields from FIELDS; only the writer spells each op out, keys
-sorted.
+has already validated in the same certificate.  Each field's name in
+FIELDS is its JSON key; the reader takes a node's keys from FIELDS, and
+only the writer spells each op out, keys sorted.
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ __all__ = [
     "GeneratorSet",
     "Certificate",
     "MalformedCertificateError",
-    "UnsupportedVersionError",
     "dag_polys",
     "serialize",
     "deserialize",
@@ -150,8 +149,8 @@ def _kind(name: str, *fields: tuple[str, str]) -> type:
     return kind
 
 
-Intro = _kind("Intro", ("gen_index", INDEX))
-IntroFamily = _kind("IntroFamily", ("family_index", INDEX), ("instance", POLY))
+Intro = _kind("Intro", ("gen", INDEX))
+IntroFamily = _kind("IntroFamily", ("family", INDEX), ("instance", POLY))
 Zero = _kind("Zero")
 Add = _kind("Add", ("left", REF), ("right", REF))
 Mult = _kind("Mult", ("left", POLY), ("inner", REF), ("right", POLY))
@@ -233,12 +232,6 @@ class MalformedCertificateError(ValueError):
         self.where = where
 
 
-class UnsupportedVersionError(MalformedCertificateError):
-    def __init__(self, version: Any):
-        super().__init__(f"unsupported certificate version {version!r}", where="version")
-        self.version = version
-
-
 class Certificate(Record):
     """Parsed certificate data, still untrusted until checked."""
 
@@ -270,9 +263,9 @@ def _node_json(node: Node, ident: int, poly: Callable[[Poly], str]) -> str:
     # keys in sorted order, as json.dumps(sort_keys=True) writes them; ids and
     # indices as JSON integers (:d), also when a builder was handed a bool
     if isinstance(node, Intro):
-        return f'{{"gen":{node.gen_index:d},"id":{ident},"op":"intro"}}'
+        return f'{{"gen":{node.gen:d},"id":{ident},"op":"intro"}}'
     if isinstance(node, IntroFamily):
-        return (f'{{"family":{node.family_index:d},"id":{ident},'
+        return (f'{{"family":{node.family:d},"id":{ident},'
                 f'"instance":{poly(node.instance)},"op":"intro_family"}}')
     if isinstance(node, Zero):
         return f'{{"id":{ident},"op":"zero"}}'
@@ -320,11 +313,9 @@ def serialize(cert: Certificate) -> bytes:
 # -- reading ----------------------------------------------------------
 
 
-_KEYS = {"gen_index": "gen", "family_index": "family"}  # other fields keep their names
-# op -> (kind, allowed keys, ((key, role), ...) in constructor order)
+# op -> (kind, allowed keys, FIELDS[kind]): a node's JSON keys are its field names
 _NODE_FORMS = {
-    op: (kind, frozenset(("id", "op", *(_KEYS.get(name, name) for name, _ in FIELDS[kind]))),
-         tuple((_KEYS.get(name, name), role) for name, role in FIELDS[kind]))
+    op: (kind, frozenset(("id", "op", *(name for name, _ in FIELDS[kind]))), FIELDS[kind])
     for op, kind in (("intro", Intro), ("intro_family", IntroFamily), ("zero", Zero),
                      ("add", Add), ("mult", Mult), ("red", Red), ("semiprime", Semiprime))
 }
@@ -463,8 +454,8 @@ class _Reader:
 def deserialize(data: bytes) -> Certificate:
     """Parse certificate bytes, validating shape but not semantics.
 
-    Raises MalformedCertificateError (with a byte offset for JSON-level
-    problems) or UnsupportedVersionError.
+    Raises MalformedCertificateError, with a byte offset for JSON-level
+    problems and a JSON path otherwise (``version`` for an unsupported one).
     """
     try:
         obj = json.loads(data.decode("utf-8"))
@@ -486,7 +477,7 @@ def deserialize(data: bytes) -> Certificate:
 
     version = _intval(_get(obj, "version", "$"), "version")
     if version != FORMAT_VERSION:
-        raise UnsupportedVersionError(version)
+        raise _fail(f"unsupported certificate version {version!r}", "version")
 
     setting = _get(obj, "setting", "$")
     if setting not in (NIL, SQRT):

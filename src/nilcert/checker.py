@@ -108,10 +108,10 @@ def check_certificate(cert: Certificate) -> Verdict:
             return _invalid(i, WRONG_SETTING, f"unknown node kind {kind.__name__}")
         if SETTING_OF.get(kind, setting) != setting:
             return _invalid(i, WRONG_SETTING, f"{kind.__name__} outside {SETTING_OF[kind]} setting")
-        if kind is Intro and not 0 <= node.gen_index < len(gens.elements):
-            return _invalid(i, GEN_INDEX, f"generator index {node.gen_index}")
-        if kind is IntroFamily and not 0 <= node.family_index < len(gens.families):
-            return _invalid(i, GEN_INDEX, f"family index {node.family_index}")
+        if kind is Intro and not 0 <= node.gen < len(gens.elements):
+            return _invalid(i, GEN_INDEX, f"generator index {node.gen}")
+        if kind is IntroFamily and not 0 <= node.family < len(gens.families):
+            return _invalid(i, GEN_INDEX, f"family index {node.family}")
         for ref in _CHILDREN[kind](node):
             if not 0 <= ref < n:
                 return _invalid(i, BAD_REF, f"reference to unknown node {ref}")
@@ -146,9 +146,9 @@ def check_certificate(cert: Certificate) -> Verdict:
     for i in order:
         node = nodes[i]
         if isinstance(node, Intro):
-            concl[i] = gens.elements[node.gen_index]
+            concl[i] = gens.elements[node.gen]
         elif isinstance(node, IntroFamily):
-            left, right = gens.families[node.family_index]
+            left, right = gens.families[node.family]
             concl[i] = left * node.instance * right
         elif isinstance(node, Zero):
             concl[i] = Poly.zero()

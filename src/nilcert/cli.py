@@ -78,14 +78,6 @@ class _InvalidInput(Exception):
     """Semantically bad input; maps to exit code 1."""
 
 
-def _transform(transform, *args):
-    """Call a transform; what it refuses is invalid input."""
-    try:
-        return transform(*args)
-    except (nilcert.WitnessError, nilcert.TransformError) as err:
-        raise _InvalidInput(str(err)) from None
-
-
 def _require_valid(cert: Certificate, context: str) -> None:
     # the verdict's conclusions are freed on return, before any writing
     verdict = check_certificate(cert)
@@ -122,7 +114,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_demo(args) -> int:
     n = {"x2": 2, "x3": 3}[args.name]
-    cert, log = _transform(nilcert.xn_demo, n)
+    cert, log = nilcert.xn_demo(n)
     out = args.out or f"{args.name}.cert.json"
     log_out = args.log or f"{args.name}.log.md"
     text = log.render().encode("utf-8")
@@ -163,13 +155,13 @@ def _cmd_product(args) -> int:
     if setting == NIL:
         if args.m is not None:
             raise _InvalidInput("--m only applies to the sqrt setting")
-        out_dag = _transform(nilcert.nil_product, p_dag, q_dag)
+        out_dag = nilcert.nil_product(p_dag, q_dag)
     else:
         if args.m is not None:
             middle = nilcert.parse_poly(args.m, problem.symbols)
         else:
             middle = Poly.symbol(nilcert.fresh_middle(p_dag, q_dag))
-        out_dag = _transform(nilcert.sqrt_product, p_dag, q_dag, middle)
+        out_dag = nilcert.sqrt_product(p_dag, q_dag, middle)
     out_cert = nilcert.certificate_from_dag(out_dag, symbols=problem.symbols)
     _write_cert(out_cert, args.out or "product.cert.json")
     return 0
@@ -186,7 +178,7 @@ def _cmd_permute(args) -> int:
     sigma = nilcert.Permutation(images)  # ValueError (exit 2) if not a bijection
     if sigma.n != len(factors):
         raise ValueError(f"--sigma has {sigma.n} entries for {len(factors)} factors")
-    out_dag = _transform(nilcert.permute, dag, factors, sigma)
+    out_dag = nilcert.permute(dag, factors, sigma)
     out_cert = nilcert.certificate_from_dag(out_dag, symbols=cert.symbols)
     _write_cert(out_cert, args.out or "permuted.cert.json")
     return 0
@@ -197,9 +189,9 @@ def _cmd_intersect(args) -> int:
     q_cert, q_dag = _load_dag(args.q_certificate)
     setting = _require_setting(p_cert.setting, q_cert.setting)
     if setting == NIL:
-        out_dag = _transform(nilcert.nil_intersect, p_dag, q_dag)
+        out_dag = nilcert.nil_intersect(p_dag, q_dag)
     else:
-        out_dag = _transform(nilcert.sqrt_intersect, p_dag, q_dag)
+        out_dag = nilcert.sqrt_intersect(p_dag, q_dag)
     symbols = p_cert.symbols + tuple(
         name for name in q_cert.symbols if name not in p_cert.symbols
     )
@@ -271,6 +263,9 @@ def main(argv=None) -> int:
         return _fail(1, str(err))
     except (OSError, ValueError) as err:
         return _fail(2, str(err))
+    except (nilcert.WitnessError, nilcert.TransformError) as err:
+        # what a transform refuses; named last, as naming them loads their modules
+        return _fail(1, str(err))
 
 
 if __name__ == "__main__":

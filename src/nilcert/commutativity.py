@@ -99,16 +99,13 @@ def commutator_factor_witness(c: int, x: Symbol, y: Symbol) -> WitnessDag:
     return builder.build(builder.add(left, right))
 
 
-def central_roots_witness(cs: CentralConstants) -> Certificate:
-    """Certificate that x*y - y*x lies in Nil((x-c_1)*...*(x-c_n)).
+def central_roots_witness(cs: CentralConstants) -> WitnessDag:
+    """Witness that x*y - y*x lies in Nil((x-c_1)*...*(x-c_n)).
 
     Folds nil_intersect left to right over the per-factor witnesses;
     the fold order is fixed only so output bytes are reproducible.
+    certificate_from_dag(dag, symbols=("x", "y")) writes it out.
     """
-    return certificate_from_dag(_central_roots_dag(cs), symbols=("x", "y"))
-
-
-def _central_roots_dag(cs: CentralConstants) -> WitnessDag:
     x, y = base_symbol("x"), base_symbol("y")
     dag = commutator_factor_witness(cs.constants[0], x, y)
     for c in cs.constants[1:]:
@@ -133,7 +130,7 @@ def xn_demo(n: int) -> tuple[Certificate, ProofLog]:
         )
     # the certificate keeps the DAG's node ids, so its conclusions apply
     roots, chain = _DEMOS[n]
-    dag = _central_roots_dag(CentralConstants(roots))
+    dag = central_roots_witness(CentralConstants(roots))
     cert = certificate_from_dag(dag, symbols=("x", "y"))
     generator = print_poly(cert.generators.elements[0], cert.symbols)
     claim = print_poly(cert.claim, cert.symbols)
@@ -175,10 +172,10 @@ def _replay_steps(cert: Certificate, concl: tuple[Poly, ...]) -> tuple[ProofStep
     steps = []
     for i, node in enumerate(cert.nodes):
         if isinstance(node, Intro):
-            rule = f"introduction of generator {node.gen_index}"
+            rule = f"introduction of generator {node.gen}"
         elif isinstance(node, IntroFamily):
             rule = (
-                f"introduction from family {node.family_index} at instance "
+                f"introduction from family {node.family} at instance "
                 f"{print_poly(node.instance, cert.symbols)}"
             )
         elif isinstance(node, Add):

@@ -31,7 +31,6 @@ from nilcert.ring import _NAME_RE, Poly, Symbol, base_symbol, format_poly
 
 __all__ = [
     "ParseError",
-    "UndeclaredIdentifierError",
     "ProblemError",
     "ProblemFile",
     "MAX_NESTING",
@@ -55,12 +54,6 @@ class ParseError(ValueError):
         self.message = message
         self.line = line
         self.col = col
-
-
-class UndeclaredIdentifierError(ParseError):
-    def __init__(self, name: str, line: int, col: int):
-        super().__init__(f"undeclared identifier {_quoted(name)}", line, col)
-        self.name = name
 
 
 class ProblemError(ValueError):
@@ -161,7 +154,8 @@ class _Parser:
             self.take()
             sym = self.alphabet.get(text)
             if sym is None:
-                raise UndeclaredIdentifierError(text, *_line_col(self.src, offset))
+                raise ParseError(f"undeclared identifier {_quoted(text)}",
+                                 *_line_col(self.src, offset))
             base = Poly.symbol(sym)
         elif kind in "([":
             self.take()
@@ -207,9 +201,9 @@ def parse_poly(src: str, symbols: Iterable[str]) -> Poly:
     """Parse ``src`` against a declared alphabet.
 
     ``symbols`` are the names of the base symbols an identifier may
-    denote.  Identifiers outside the alphabet raise
-    UndeclaredIdentifierError.  A bracket nested more than MAX_NESTING
-    deep raises ParseError at that bracket.
+    denote.  Every error is a ParseError with its line and column, an
+    identifier outside the alphabet among them; a bracket nested more
+    than MAX_NESTING deep is reported at that bracket.
     """
     parser = _Parser(src, _tokenize(src), {name: base_symbol(name) for name in symbols})
     try:

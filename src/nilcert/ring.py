@@ -28,7 +28,6 @@ __all__ = [
     "Poly",
     "base_symbol",
     "fresh_schematic",
-    "commutator",
     "term_sorter",
     "symbols_of",
     "format_poly",
@@ -299,11 +298,6 @@ def symbols_of(polys: Iterable[Poly]) -> set[Symbol]:
     """Every symbol occurring in any of ``polys``, each decoded once."""
     codes = set("".join(itertools.chain.from_iterable(p._terms for p in polys)))
     return {_symbols[ord(code)] for code in codes}
-
-
-def commutator(p: Poly, q: Poly) -> Poly:
-    """[p, q] = p*q - q*p; zero exactly when p and q commute."""
-    return p * q - q * p
 
 
 def term_sorter(polys: Iterable[Poly], order: Sequence[str] | None = None,

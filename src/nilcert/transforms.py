@@ -11,7 +11,9 @@ witness of u*v:
     rotate:  v*(u*v)*u = (v*u)^2,        so v*u  is in the ideal
     insert:  (u*r)*(v*u)*(r*v) = (u*r*v)^2,  so u*r*v is in the ideal
 
-Permutations reduce to a power-of-two trick over rotate and insert.
+Rotate is internal: permute over the two factors (u, v) with sigma =
+(2, 1) is its public form.  Permutations reduce to a power-of-two trick
+over rotate and insert.
 A product is two inductions, one over each witness, as described on
 each function, run by witness.induction at any depth.  A product's Red
 node takes a rotate and a one-sided multiple, no insert, so no step
@@ -44,7 +46,6 @@ from nilcert.witness import DagBuilder, WitnessDag, dag_symbols, induction
 __all__ = [
     "TransformError",
     "Permutation",
-    "rotate",
     "insert",
     "permute",
     "nil_product",
@@ -99,12 +100,6 @@ def _rotate_at(builder: DagBuilder, node_id: int, u: Poly, v: Poly) -> int:
 def _insert_at(builder: DagBuilder, node_id: int, u: Poly, v: Poly, r: Poly) -> int:
     rotated = _rotate_at(builder, node_id, u, v)
     return builder.red(builder.mult(u * r, rotated, r * v), u * r * v)
-
-
-def rotate(w: WitnessDag, u: Poly, v: Poly) -> WitnessDag:
-    """From a witness of u*v, derive v*u (adds two nodes)."""
-    builder = DagBuilder.from_dag(w)
-    return builder.build(_rotate_at(builder, w.root, u, v))
 
 
 def insert(w: WitnessDag, u: Poly, v: Poly, r: Poly) -> WitnessDag:
@@ -234,8 +229,8 @@ def nil_product(p: WitnessDag, q: WitnessDag) -> WitnessDag:
         if p_first[pi] != pi:
             return (yield times_y, p_first[pi])
         node = p.nodes[pi]
-        if isinstance(node, Intro) and node.gen_index != distinguished:
-            return out.mult(_ONE, out.intro(node.gen_index), y)
+        if isinstance(node, Intro) and node.gen != distinguished:
+            return out.mult(_ONE, out.intro(node.gen), y)
         if isinstance(node, Intro):
             return (yield a_times, q.root)
         if isinstance(node, Zero):
@@ -257,8 +252,8 @@ def nil_product(p: WitnessDag, q: WitnessDag) -> WitnessDag:
         if q_first[qi] != qi:
             return (yield a_times, q_first[qi])
         node = q.nodes[qi]
-        if isinstance(node, Intro) and node.gen_index != distinguished:
-            return out.mult(a, out.intro(node.gen_index), _ONE)
+        if isinstance(node, Intro) and node.gen != distinguished:
+            return out.mult(a, out.intro(node.gen), _ONE)
         if isinstance(node, Intro):
             return out.intro(distinguished)  # a*b is the new generator
         if isinstance(node, Zero):
@@ -319,10 +314,10 @@ def sqrt_product(p: WitnessDag, q: WitnessDag, m: Poly) -> WitnessDag:
     def times_y(pi: int, env: _Env, mid: Poly):
         node = p.nodes[pi]
         sub = dict(env)
-        if isinstance(node, Intro) and node.gen_index != distinguished:
-            return out.mult(_ONE, out.intro(node.gen_index), mid * y)
+        if isinstance(node, Intro) and node.gen != distinguished:
+            return out.mult(_ONE, out.intro(node.gen), mid * y)
         if isinstance(node, IntroFamily):
-            copied = out.intro_family(node.family_index, node.instance.substitute(sub))
+            copied = out.intro_family(node.family, node.instance.substitute(sub))
             return out.mult(_ONE, copied, mid * y)
         if isinstance(node, Intro):
             return (yield a_times, q.root, (), mid)
@@ -344,10 +339,10 @@ def sqrt_product(p: WitnessDag, q: WitnessDag, m: Poly) -> WitnessDag:
     def a_times(qi: int, env: _Env, mid: Poly):
         node = q.nodes[qi]
         sub = dict(env)
-        if isinstance(node, Intro) and node.gen_index != distinguished:
-            return out.mult(a * mid, out.intro(node.gen_index), _ONE)
+        if isinstance(node, Intro) and node.gen != distinguished:
+            return out.mult(a * mid, out.intro(node.gen), _ONE)
         if isinstance(node, IntroFamily):
-            copied = out.intro_family(node.family_index, node.instance.substitute(sub))
+            copied = out.intro_family(node.family, node.instance.substitute(sub))
             return out.mult(a * mid, copied, _ONE)
         if isinstance(node, Intro):
             return out.intro_family(new_family, mid)  # concludes a*mid*b

@@ -147,13 +147,13 @@ class DagBuilder:
         if SETTING_OF.get(kind, self.setting) != self.setting:
             raise WitnessError(f"{kind.__name__} requires the {SETTING_OF[kind]} setting")
         if isinstance(node, Intro):
-            if not 0 <= node.gen_index < len(self.generators.elements):
-                raise WitnessError(f"generator index {node.gen_index} out of range")
-            return self.generators.elements[node.gen_index]
+            if not 0 <= node.gen < len(self.generators.elements):
+                raise WitnessError(f"generator index {node.gen} out of range")
+            return self.generators.elements[node.gen]
         if isinstance(node, IntroFamily):
-            if not 0 <= node.family_index < len(self.generators.families):
-                raise WitnessError(f"family index {node.family_index} out of range")
-            left, right = self.generators.families[node.family_index]
+            if not 0 <= node.family < len(self.generators.families):
+                raise WitnessError(f"family index {node.family} out of range")
+            left, right = self.generators.families[node.family]
             return left * node.instance * right
         if isinstance(node, Zero):
             return Poly.zero()

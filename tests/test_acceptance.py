@@ -29,7 +29,6 @@ from nilcert import (
     base_symbol,
     certificate_from_dag,
     check_certificate,
-    commutator,
     deserialize,
     nil_product,
     parse_poly,
@@ -77,7 +76,7 @@ def _demo(n: int, generator: Poly) -> None:
     assert elapsed < 1.0
     assert len(cert.nodes) <= 10_000
     assert cert.setting == NIL
-    assert cert.claim == commutator(x, y)
+    assert cert.claim == x * y - y * x
     assert cert.generators.elements == (generator,)
     assert len(log.steps) == len(cert.nodes) + 3
     _ORACLE_POOL.append((f"x{n} demo", serialize(cert)))

@@ -23,7 +23,6 @@ from nilcert import (
     NIL,
     Poly,
     SQRT,
-    UnsupportedVersionError,
     WitnessError,
     base_symbol,
     certificate_from_dag,
@@ -109,7 +108,6 @@ def test_round_trip_random_witnesses():
 
 OPS = {Intro: "intro", IntroFamily: "intro_family", Zero: "zero", Add: "add",
        Mult: "mult", Red: "red", Semiprime: "semiprime"}
-KEYS = {"gen_index": "gen", "family_index": "family"}
 
 
 def reference_serialize(cert: Certificate) -> bytes:
@@ -123,7 +121,7 @@ def reference_serialize(cert: Certificate) -> bytes:
 
     nodes = [
         {"id": i, "op": OPS[type(n)],
-         **{KEYS.get(name, name): value(getattr(n, name)) for name, _ in FIELDS[type(n)]}}
+         **{name: value(getattr(n, name)) for name, _ in FIELDS[type(n)]}}  # keys are field names
         for i, n in enumerate(cert.nodes)
     ]
     obj = {
@@ -244,8 +242,8 @@ def test_deserialize_rejects_deep_nesting():
 def test_deserialize_rejects_unsupported_version():
     # a Certificate holds no version, so the reader is the one place that checks it
     for version, error, message in [
-        (2, UnsupportedVersionError, "version: unsupported certificate version 2"),
-        (0, UnsupportedVersionError, "version: unsupported certificate version 0"),
+        (2, MalformedCertificateError, "version: unsupported certificate version 2"),
+        (0, MalformedCertificateError, "version: unsupported certificate version 0"),
         (True, MalformedCertificateError, "version: expected an integer"),
         ("1", MalformedCertificateError, "version: expected an integer"),
         (None, MalformedCertificateError, "version: expected an integer"),

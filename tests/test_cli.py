@@ -23,6 +23,7 @@ import nilcert.certio as certio
 import nilcert.cli as cli
 import nilcert.lang as lang
 from nilcert import (
+    Certificate,
     DagBuilder,
     GeneratorSet,
     NIL,
@@ -36,7 +37,7 @@ from nilcert import (
     sqrt_intersect,
     xn_demo,
 )
-from nilcert.certificate import DEFAULT_MAX_NODES
+from nilcert.certificate import DEFAULT_MAX_NODES, Intro
 
 x, y, z = (Poly.symbol(base_symbol(n)) for n in "xyz")
 one = Poly.one()
@@ -627,6 +628,24 @@ def test_intersect_rejects_different_claims(tmp_path):
     result = run("intersect", str(tmp_path / "p.json"), str(tmp_path / "q.json"))
     assert result.returncode == 1
     assert "different elements" in result.stderr
+
+
+def test_check_accepts_a_schematic_generator_that_the_transforms_refuse(tmp_path):
+    # the checker refuses a schematic symbol only as a Semiprime bound, while the
+    # DagBuilder that each transform command reads its inputs into refuses any
+    # schematic generator; this pins the two policies as they stand
+    z0 = Poly.symbol(Symbol.decode("z#0"))
+    cert = Certificate(NIL, (), GeneratorSet((z0,)), z0, (Intro(0),), 0)
+    (tmp_path / "z.json").write_bytes(serialize(cert))
+    checked = run("check", "z.json", cwd=tmp_path)
+    assert (checked.returncode, checked.stdout, checked.stderr) == (
+        0, "z.json: valid (1 nodes, setting nil)\n", "")
+    for argv in (["permute", "z.json", "--factors", "1", "--sigma", "1", "-o", "out.json"],
+                 ["intersect", "z.json", "z.json", "-o", "out.json"]):
+        result = run(*argv, cwd=tmp_path)
+        assert (result.returncode, result.stdout, result.stderr) == (
+            1, "", "nilcert: z.json: schematic symbol z#0 in generator set\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["z.json"]
 
 
 def test_witnesses_of_any_depth_transform(tmp_path):

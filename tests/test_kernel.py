@@ -73,6 +73,26 @@ def test_check_runs_on_the_kernel_alone():
     assert set(loaded.split()) == {"nilcert", "nilcert.cli"} | KERNEL_MODULES
 
 
+def test_check_stays_on_the_kernel_along_its_error_exits(tmp_path):
+    # an except clause that names the transform errors loads their modules when an
+    # exception reaches it, so check's own errors must be caught before that clause
+    golden = (kernel_lines.GOLDEN / "x2.cert.json").read_bytes()
+    # a root past the last node (BAD_REF), then a cut that leaves no JSON value
+    (tmp_path / "invalid.json").write_bytes(golden.replace(b'"root":', b'"root":1', 1))
+    (tmp_path / "truncated.json").write_bytes(golden[: len(golden) // 2])
+    probe = "\n".join([
+        "import sys, nilcert.cli",
+        "codes = [nilcert.cli.main(['check', path]) for path in sys.argv[1:]]",
+        "print(*codes)",
+        LOADED,
+    ])
+    done = fresh_python("-c", probe, "invalid.json", "truncated.json", "missing.json",
+                        cwd=tmp_path)
+    *_, codes, loaded = done.stdout.splitlines()
+    assert codes.split() == ["1", "2", "2"], done.stdout + done.stderr
+    assert set(loaded.split()) == {"nilcert", "nilcert.cli"} | KERNEL_MODULES
+
+
 def test_no_cli_function_imports_a_package_module():
     # commands read their layers as nilcert.<name>, so nilcert._HOME alone maps names to modules
     for node in ast.walk(source("cli.py")):

@@ -32,7 +32,6 @@ from nilcert import (
     nil_product,
     node_budget,
     permute,
-    rotate,
     serialize,
     sqrt_intersect,
     sqrt_product,
@@ -65,7 +64,7 @@ def product_witness(*names):
 
 def test_rotate_swaps_the_factors():
     w = product_witness("x", "y")
-    out = rotate(w, x, y)
+    out = permute(w, (x, y), Permutation((2, 1)))
     assert out.conclusion == y * x
     assert len(out) == len(w) + 2
     assert_valid(out)
@@ -76,17 +75,17 @@ def test_rotate_swaps_the_factors():
 def test_rotate_accepts_nonatomic_factors():
     b = DagBuilder(NIL, GeneratorSet(((x + one) * y * y,)))
     w = b.build(b.intro(0))
-    out = rotate(w, x + one, y * y)
+    out = permute(w, (x + one, y * y), Permutation((2, 1)))
     assert out.conclusion == y * y * (x + one)
     assert_valid(out)
 
 
 def test_rotate_checks_the_factorization():
     w = product_witness("x", "y")
-    with pytest.raises(TransformError, match=r"witness concludes x\*y, not \(y\)\*\(x\)"):
-        rotate(w, y, x)
-    with pytest.raises(TransformError, match=r"witness concludes x\*y, not \(x\)\*\(y \+ 1\)"):
-        rotate(w, x, y + one)
+    with pytest.raises(TransformError, match="factors do not multiply to the conclusion"):
+        permute(w, (y, x), Permutation((2, 1)))
+    with pytest.raises(TransformError, match="factors do not multiply to the conclusion"):
+        permute(w, (x, y + one), Permutation((2, 1)))
 
 
 def test_insert_places_r_between_the_factors():
@@ -240,7 +239,8 @@ def test_nil_product_translates_a_red_node_by_one_rotation():
 
 
 def test_left_folded_central_roots_stay_small_at_four_constants():
-    cert = central_roots_witness(CentralConstants((0, 1, -1, 2)))
+    cert = certificate_from_dag(central_roots_witness(CentralConstants((0, 1, -1, 2))),
+                                symbols=("x", "y"))
     verdict = check_certificate(cert)
     assert verdict.ok, str(verdict)
     assert len(cert.nodes) <= 140
