@@ -4,8 +4,8 @@ The first five criteria exercise the headline flows (both demos, random
 products in each setting, factor permutations) and stash every
 certificate they produce in a module-level pool.  Criterion 6 replays
 that pool through the mod-30 soundness oracle, criterion 7 drives a
-fixed 50-entry corpus of corrupted certificates through the checker,
-and criteria 8 and 9 pin down serialization and sharing behaviour.
+fixed 50-entry corpus of corrupted certificates through the checker and
+the reference checker, and criteria 8 and 9 pin down serialization and sharing behaviour.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import time
 
 import oracle
 import witgen
+from refcheck import refcheck
 from nilcert import (
     Certificate,
     DagBuilder,
@@ -225,7 +226,8 @@ def test_criterion_6_soundness_oracle_mod_30():
 #
 # Fifty single-field corruptions of valid certificates.  Each entry must
 # still deserialize (the damage is semantic, not syntactic) and must be
-# rejected with exactly the expected reason at the expected node.
+# rejected with exactly the expected reason at the expected node, by the
+# checker and by the reference checker in tests/refcheck.py.
 
 
 def _capture_bases() -> dict[str, bytes]:
@@ -387,6 +389,7 @@ def test_criterion_7_adversarial_corpus():
         assert not verdict.ok, f"false accept: {base}: {label}"
         assert verdict.reason == reason, f"{base}: {label}: {verdict}"
         assert verdict.node == node, f"{base}: {label}: {verdict}"
+        assert refcheck(obj) == (False, node, reason), f"{base}: {label}: reference"
         rejected += 1
     assert rejected == 50
 

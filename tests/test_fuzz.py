@@ -2,12 +2,22 @@
 
 Mutations stay inside the reader's domain: value types, symbol
 spellings, coefficients, object keys, truncated bytes, and references
-that are out of range or of the wrong type.  A reference is never moved
-to another existing node, so no mutant can build a derivation whose
-conclusions grow past the original's (the checker has no budget for
-that yet).  Every mutant must either be refused by ``deserialize`` with
-MalformedCertificateError, or be decided by ``check_certificate`` with
-a Verdict; any other exception is a bug.
+that are out of range or of the wrong type.  Every mutant must either
+be refused by ``deserialize`` with MalformedCertificateError, or be
+decided by ``check_certificate`` with a Verdict; any other exception is
+a bug.  Each decided mutant must get the same ``(ok, node, reason)``
+from the reference checker in ``refcheck``.
+
+A second stream moves references, and the root, to other *existing*
+nodes, and renames Semiprime bounds to schematic symbols the certificate
+already has.  It reaches cycles, wrong squares, wrong shapes and wrong
+claims, and certificates with several faults, where only the blame order
+picks the reason and the node.  A bound renamed to a symbol that its
+conclusion holds breaks the shape as well as capture, and the shape must
+be reported first.  This stream starts from small sources only (at most
+SMALL nodes): a moved Mult reference can lengthen a chain of
+multiplications, whose factors multiply conclusion sizes at each link,
+and neither checker has a budget for that yet.
 """
 
 from __future__ import annotations
@@ -18,17 +28,23 @@ import pathlib
 import random
 
 import witgen
+from refcheck import refcheck
 from nilcert import (
     MalformedCertificateError,
+    Poly,
     Verdict,
     certificate_from_dag,
     check_certificate,
     deserialize,
+    fresh_middle,
     serialize,
+    sqrt_product,
 )
 
 SEED = 20_261_018
 CASES = 600
+MOVES = 1_000
+SMALL = 20  # nodes
 
 REF_KEYS = {"gen", "family", "left", "right", "inner", "premise"}
 
@@ -54,6 +70,19 @@ def sources() -> list[bytes]:
         out.append(serialize(certificate_from_dag(witgen.nil_pair(rng, ("x", "y"), 3)[0])))
         p, _ = witgen.sqrt_pair(rng, ("x", "y"), 3, force_semiprime=True)
         out.append(serialize(certificate_from_dag(p)))
+    return out
+
+
+def small_sources() -> list[bytes]:
+    """The sources of at most SMALL nodes, and four sqrt products, whose
+    Semiprime conclusions can hold the product's schematic middle."""
+    out = [data for data in sources() if len(json.loads(data)["nodes"]) <= SMALL]
+    rng = random.Random(SEED)
+    while len(out) < 14:
+        p, q = witgen.sqrt_pair(rng, ("x", "y"), 1, force_semiprime=True)
+        product = sqrt_product(p, q, Poly.symbol(fresh_middle(p, q)))
+        if len(product) <= SMALL:
+            out.append(serialize(certificate_from_dag(product)))
     return out
 
 
@@ -134,8 +163,46 @@ def test_mutated_certificates_are_malformed_or_decided():
             continue
         verdict = check_certificate(cert)
         assert isinstance(verdict, Verdict)
+        assert verdict[:3] == refcheck(json.loads(data)), verdict
         outcomes["valid" if verdict else "invalid"] += 1
         # whatever reads also writes, and the written form reads back the same
         assert deserialize(serialize(cert)) == cert
     # the mutants reach every outcome, not only the reader's refusals
     assert all(outcomes.values()), outcomes
+
+
+def spellings(value) -> set[str]:
+    """Every string inside a JSON value, keys left out."""
+    if isinstance(value, str):
+        return {value}
+    items = value.values() if isinstance(value, dict) else value if isinstance(value, list) else ()
+    return set().union(*map(spellings, items))
+
+
+def move(rng: random.Random, data: bytes) -> bytes:
+    """``data`` with one to three references or the root pointed at existing
+    nodes, or Semiprime bounds renamed to schematic symbols it already has."""
+    obj = json.loads(data)
+    n = len(obj["nodes"])
+    schematic = sorted(s for s in spellings(obj) if "#" in s)
+    slots = [(obj, "root")] + [(node, key) for node in obj["nodes"]
+                               for key in ("left", "right", "inner", "premise", "bound")
+                               if isinstance(node.get(key), (int, str))]
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        container, key = rng.choice(slots)
+        container[key] = rng.choice(schematic) if key == "bound" else rng.randrange(n)
+    return json.dumps(obj).encode()
+
+
+def test_moved_references_get_the_reference_checkers_verdict():
+    rng = random.Random(SEED)
+    bases = small_sources()
+    outcomes: dict[str | None, int] = {}
+    for _ in range(MOVES):
+        data = move(rng, rng.choice(bases))
+        verdict = check_certificate(deserialize(data))
+        assert verdict[:3] == refcheck(json.loads(data)), verdict
+        outcomes[verdict.reason] = outcomes.get(verdict.reason, 0) + 1
+    # each reason a moved reference can cause, and acceptance, is reached
+    assert {None, "CYCLE", "RED_SQUARE_MISMATCH", "SEMIPRIME_SHAPE",
+            "CLAIM_MISMATCH"} <= set(outcomes), outcomes
