@@ -54,8 +54,8 @@ def dag_from_certificate(cert: Certificate) -> WitnessDag:
     checker's order with the verdict's conclusions and no ring
     operations; equal nodes are shared, so ids may change (transforms
     never rely on them), and more nodes than the node budget in force
-    (``node_budget``) raise BudgetExceededError.  A schematic generator,
-    which the checker accepts, raises WitnessError, as DagBuilder does.
+    (``node_budget``) raise BudgetExceededError.  DagBuilder admits by the
+    checker's rules, so a never-bound schematic generator loads like any other.
     """
     verdict = check_certificate(cert)
     if not verdict:

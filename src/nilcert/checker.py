@@ -18,6 +18,9 @@ Reason codes, in the order the phases can report them:
     SEMIPRIME_CAPTURE      bound occurs in the conclusion or generators
     CLAIM_MISMATCH         claim differs from the root conclusion
 
+``node_fault`` and ``conclude`` state each node rule once; DagBuilder,
+outside the kernel, admits every node it builds through them too.
+
 A schematic symbol occurring in a generator is rejected only when it is
 some Semiprime node's bound (the capture condition); a never-bound
 schematic generator is semantically just another indeterminate and
@@ -29,9 +32,11 @@ conclusion of every node, so callers reuse this one evaluation.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from nilcert.certificate import (
-    NIL, REF, SETTING_OF, SQRT, Add, Certificate, Intro, IntroFamily, Mult, Red, Semiprime, Zero,
-    field_getters,
+    NIL, REF, SETTING_OF, SQRT, Add, Certificate, GeneratorSet, Intro, IntroFamily, Mult, Node, Red,
+    Semiprime, Zero, field_getters,
 )
 from nilcert.record import Record
 from nilcert.ring import Poly
@@ -47,6 +52,8 @@ __all__ = [
     "GEN_INDEX",
     "Verdict",
     "check_certificate",
+    "conclude",
+    "node_fault",
 ]
 
 BAD_REF = "BAD_REF"
@@ -83,6 +90,52 @@ def _invalid(node: int | None, reason: str, detail: str) -> Verdict:
     return Verdict(False, node, reason, detail)
 
 
+def node_fault(node: Node, n: int, setting: str, gens: GeneratorSet) -> tuple[str, str] | None:
+    """The structural fault of ``node`` in a certificate of ``n`` nodes, as
+    (reason, detail), or None."""
+    kind = type(node)
+    if kind not in _CHILDREN:
+        return WRONG_SETTING, f"unknown node kind {kind.__name__}"
+    if SETTING_OF.get(kind, setting) != setting:
+        return WRONG_SETTING, f"{kind.__name__} outside {SETTING_OF[kind]} setting"
+    if kind is Intro and not 0 <= node.gen < len(gens.elements):
+        return GEN_INDEX, f"generator index {node.gen}"
+    if kind is IntroFamily and not 0 <= node.family < len(gens.families):
+        return GEN_INDEX, f"family index {node.family}"
+    for ref in _CHILDREN[kind](node):
+        if not isinstance(ref, int) or not 0 <= ref < n:
+            return BAD_REF, f"reference to unknown node {ref}"
+    if kind is Semiprime and not node.bound.is_schematic:
+        return SEMIPRIME_SHAPE, "bound symbol is not schematic"
+
+
+def conclude(node: Node, concl: Sequence[Poly], gens: GeneratorSet) -> tuple[Poly, tuple | None]:
+    """The conclusion of ``node``, which has no structural fault, from the
+    conclusions ``concl``, and its side condition's fault, or None."""
+    if isinstance(node, Intro):
+        return gens.elements[node.gen], None
+    if isinstance(node, IntroFamily):
+        left, right = gens.families[node.family]
+        return left * node.instance * right, None
+    if isinstance(node, Zero):
+        return Poly.zero(), None
+    if isinstance(node, Add):
+        return concl[node.left] + concl[node.right], None
+    if isinstance(node, Mult):
+        return node.left * concl[node.inner] * node.right, None
+    c = node.conclusion  # Red | Semiprime carry their conclusion
+    if isinstance(node, Red):
+        if concl[node.premise] != c * c:
+            return c, (RED_SQUARE_MISMATCH, "premise is not conclusion^2")
+    elif concl[node.premise] != c * Poly.symbol(node.bound) * c:
+        return c, (SEMIPRIME_SHAPE, "premise is not conclusion*bound*conclusion")
+    elif c.mentions(node.bound):
+        return c, (SEMIPRIME_CAPTURE, "bound occurs in the conclusion")
+    elif gens.mentions(node.bound):
+        return c, (SEMIPRIME_CAPTURE, "bound occurs in the generators")
+    return c, None
+
+
 def check_certificate(cert: Certificate) -> Verdict:
     """Decide validity of untrusted certificate data.
 
@@ -91,33 +144,17 @@ def check_certificate(cert: Certificate) -> Verdict:
     problems are reported in ascending node order, then the first
     semantic offender in ascending node order, then the claim.
     """
-    nodes = cert.nodes
+    nodes, setting, gens = cert.nodes, cert.setting, cert.generators
     n = len(nodes)
-    setting = cert.setting
-    gens = cert.generators
 
     if setting not in (NIL, SQRT):
         return _invalid(None, WRONG_SETTING, f"unknown setting {setting!r}")
     if setting == NIL and gens.families:
         return _invalid(None, WRONG_SETTING, "families present in the nil setting")
 
-    # structural pass: kinds vs setting, index ranges, reference ranges
     for i, node in enumerate(nodes):
-        kind = type(node)
-        if kind not in _CHILDREN:
-            return _invalid(i, WRONG_SETTING, f"unknown node kind {kind.__name__}")
-        if SETTING_OF.get(kind, setting) != setting:
-            return _invalid(i, WRONG_SETTING, f"{kind.__name__} outside {SETTING_OF[kind]} setting")
-        if kind is Intro and not 0 <= node.gen < len(gens.elements):
-            return _invalid(i, GEN_INDEX, f"generator index {node.gen}")
-        if kind is IntroFamily and not 0 <= node.family < len(gens.families):
-            return _invalid(i, GEN_INDEX, f"family index {node.family}")
-        for ref in _CHILDREN[kind](node):
-            if not 0 <= ref < n:
-                return _invalid(i, BAD_REF, f"reference to unknown node {ref}")
-        if kind is Semiprime and not node.bound.is_schematic:
-            return _invalid(i, SEMIPRIME_SHAPE, "bound symbol is not schematic")
-
+        if fault := node_fault(node, n, setting, gens):
+            return _invalid(i, *fault)
     if not 0 <= cert.root < n:
         return _invalid(None, BAD_REF, f"root {cert.root} out of range")
 
@@ -141,41 +178,15 @@ def check_certificate(cert: Certificate) -> Verdict:
         stuck = min(i for i in range(n) if pending[i] > 0)
         return _invalid(stuck, CYCLE, "node waits on a reference cycle")
 
-    # conclusions, children first
+    # conclusions children first; the least node whose side condition fails is blamed
     concl: list[Poly] = [Poly.zero()] * n
+    blamed = None
     for i in order:
-        node = nodes[i]
-        if isinstance(node, Intro):
-            concl[i] = gens.elements[node.gen]
-        elif isinstance(node, IntroFamily):
-            left, right = gens.families[node.family]
-            concl[i] = left * node.instance * right
-        elif isinstance(node, Zero):
-            concl[i] = Poly.zero()
-        elif isinstance(node, Add):
-            concl[i] = concl[node.left] + concl[node.right]
-        elif isinstance(node, Mult):
-            concl[i] = node.left * concl[node.inner] * node.right
-        else:  # Red | Semiprime carry their conclusion
-            concl[i] = node.conclusion
-
-    # semantic side conditions
-    for i, node in enumerate(nodes):
-        if isinstance(node, Red):
-            c = node.conclusion
-            if concl[node.premise] != c * c:
-                return _invalid(i, RED_SQUARE_MISMATCH, "premise is not conclusion^2")
-        elif isinstance(node, Semiprime):
-            c = node.conclusion
-            if concl[node.premise] != c * Poly.symbol(node.bound) * c:
-                return _invalid(
-                    i, SEMIPRIME_SHAPE, "premise is not conclusion*bound*conclusion"
-                )
-            if c.mentions(node.bound):
-                return _invalid(i, SEMIPRIME_CAPTURE, "bound occurs in the conclusion")
-            if gens.mentions(node.bound):
-                return _invalid(i, SEMIPRIME_CAPTURE, "bound occurs in the generators")
-
+        concl[i], fault = conclude(nodes[i], concl, gens)
+        if fault and (blamed is None or i < blamed[0]):
+            blamed = (i, *fault)
+    if blamed:
+        return _invalid(*blamed)
     if concl[cert.root] != cert.claim:
         return _invalid(cert.root, CLAIM_MISMATCH, "claim differs from root conclusion")
     return Verdict(True, order=tuple(order), conclusions=tuple(concl))

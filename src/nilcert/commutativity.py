@@ -102,14 +102,16 @@ def commutator_factor_witness(c: int, x: Symbol, y: Symbol) -> WitnessDag:
 def central_roots_witness(cs: CentralConstants) -> WitnessDag:
     """Witness that x*y - y*x lies in Nil((x-c_1)*...*(x-c_n)).
 
-    Folds nil_intersect left to right over the per-factor witnesses;
-    the fold order is fixed only so output bytes are reproducible.
+    Folds nil_intersect left to right over the per-factor witnesses, a zero
+    root first: x - 0 is a monomial, so each later level squares less (roots
+    -2, -1, 0, 1 reach 16,384 terms, not 4,194,304 as given).  The other
+    roots keep their order, so output bytes are reproducible.
     certificate_from_dag(dag, symbols=("x", "y")) writes it out.
     """
     x, y = base_symbol("x"), base_symbol("y")
-    dag = commutator_factor_witness(cs.constants[0], x, y)
-    for c in cs.constants[1:]:
-        dag = nil_intersect(dag, commutator_factor_witness(c, x, y))
+    dag, *rest = [commutator_factor_witness(c, x, y) for c in sorted(cs.constants, key=bool)]
+    for other in rest:
+        dag = nil_intersect(dag, other)
     return dag
 
 

@@ -2,10 +2,10 @@
 
 A witness is a DAG of the node kinds of ``nilcert.certificate``, where
 each kind's fields and the rule it stands for are listed.  Children
-always precede parents.  DagBuilder verifies each side condition at
-insertion time, so a complete WitnessDag is valid by construction; the
-checker re-verifies serialized certificates from scratch without
-trusting any of this.
+always precede parents.  DagBuilder admits each node by the checker's
+node rules (``node_fault``, ``conclude``), so a complete WitnessDag is
+valid by construction; the checker still re-verifies serialized
+certificates from scratch without trusting any of this.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from nilcert.certificate import (
     NIL,
     POLY,
     REF,
-    SETTING_OF,
     SQRT,
     SYMBOL,
     Add,
@@ -33,6 +32,7 @@ from nilcert.certificate import (
     field_getters,
     map_fields,
 )
+from nilcert.checker import BAD_REF, conclude, node_fault
 from nilcert.record import Record
 from nilcert.ring import Poly, Symbol, fresh_schematic, symbols_of
 
@@ -96,10 +96,6 @@ class DagBuilder:
             raise WitnessError(f"unknown setting {setting!r}")
         if setting == NIL and generators.families:
             raise WitnessError("families require the sqrt setting")
-        for poly in generators.all_polys():  # generators describe fixed elements
-            for sym in poly.symbols():
-                if sym.is_schematic:
-                    raise WitnessError(f"schematic symbol {sym.encode()} in generator set")
         self.max_nodes = _NODE_BUDGET.get()
         if self.max_nodes < 1:
             raise BudgetExceededError("max_nodes must be positive")
@@ -123,11 +119,6 @@ class DagBuilder:
     def conclusion(self, node_id: int) -> Poly:
         return self._conclusions[node_id]
 
-    def _ref(self, node_id: int) -> Poly:
-        if not isinstance(node_id, int) or not 0 <= node_id < len(self._nodes):
-            raise WitnessError(f"reference to unknown node {node_id}")
-        return self._conclusions[node_id]
-
     def add_node(self, node: Node) -> int:
         existing = self._index.get(node)
         return existing if existing is not None else self._append(node, self._admit(node))
@@ -142,47 +133,13 @@ class DagBuilder:
         return node_id
 
     def _admit(self, node: Node) -> Poly:
-        """Verify the node's side conditions; return its conclusion."""
-        kind = type(node)
-        if SETTING_OF.get(kind, self.setting) != self.setting:
-            raise WitnessError(f"{kind.__name__} requires the {SETTING_OF[kind]} setting")
-        if isinstance(node, Intro):
-            if not 0 <= node.gen < len(self.generators.elements):
-                raise WitnessError(f"generator index {node.gen} out of range")
-            return self.generators.elements[node.gen]
-        if isinstance(node, IntroFamily):
-            if not 0 <= node.family < len(self.generators.families):
-                raise WitnessError(f"family index {node.family} out of range")
-            left, right = self.generators.families[node.family]
-            return left * node.instance * right
-        if isinstance(node, Zero):
-            return Poly.zero()
-        if isinstance(node, Add):
-            return self._ref(node.left) + self._ref(node.right)
-        if isinstance(node, Mult):
-            return node.left * self._ref(node.inner) * node.right
-        if isinstance(node, Red):
-            premise = self._ref(node.premise)
-            if premise != node.conclusion * node.conclusion:
-                raise WitnessError(
-                    "Red premise is not the square of its conclusion"
-                )
-            return node.conclusion
-        if isinstance(node, Semiprime):
-            if not node.bound.is_schematic:
-                raise WitnessError("Semiprime bound must be schematic")
-            premise = self._ref(node.premise)
-            c = node.conclusion
-            if premise != c * Poly.symbol(node.bound) * c:
-                raise WitnessError(
-                    "Semiprime premise is not conclusion*bound*conclusion"
-                )
-            if c.mentions(node.bound):
-                raise WitnessError("Semiprime bound occurs in its conclusion")
-            # generators were checked schematic-free at construction, so
-            # the bound cannot occur there
-            return c
-        raise WitnessError(f"unknown node kind {kind.__name__}")
+        """The node's conclusion, if the checker's node rules admit it as the next node."""
+        fault = node_fault(node, len(self._nodes), self.setting, self.generators)
+        if fault is None:
+            conclusion, fault = conclude(node, self._conclusions, self.generators)
+        if fault:
+            raise WitnessError(": ".join(fault))
+        return conclusion
 
     # Convenience wrappers taking a kind's fields; transforms read better with these.
     intro = _adder(Intro)
@@ -194,7 +151,8 @@ class DagBuilder:
     semiprime = _adder(Semiprime)
 
     def build(self, root: int) -> WitnessDag:
-        self._ref(root)
+        if not isinstance(root, int) or not 0 <= root < len(self._nodes):
+            raise WitnessError(f"{BAD_REF}: root {root} out of range")
         return WitnessDag(
             setting=self.setting,
             generators=self.generators,

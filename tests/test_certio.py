@@ -524,22 +524,20 @@ def test_dag_from_certificate_matches_a_readmitted_reference(tmp_path):
         with node_budget(len(want.nodes) - 1), pytest.raises(BudgetExceededError):
             dag_from_certificate(cert)
 
-    # the checker accepts a never-bound schematic generator; a DAG cannot hold one
+    # the checker accepts a never-bound schematic generator, and so does a DAG
     q = Poly.symbol(Symbol.decode("q#0"))
     cert = Certificate("sqrt", ("x",), GeneratorSet((q,)), q, (Intro(0),), 0)
     assert check_certificate(cert).ok
-    with pytest.raises(WitnessError, match="schematic symbol"):
-        dag_from_certificate(cert)
+    dag = dag_from_certificate(cert)
+    assert (dag.generators, dag.nodes, dag.conclusion) == (cert.generators, cert.nodes, q)
 
-    path = tmp_path / "schematic.json"
+    path, out = tmp_path / "schematic.json", tmp_path / "out.json"
     path.write_bytes(serialize(cert))
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = nilcert.cli.main(["permute", str(path), "--factors", "x", "--sigma", "1",
-                                 "-o", str(tmp_path / "out.json")])
-    assert code == 1
-    assert "schematic symbol" in err.getvalue()
-    assert not (tmp_path / "out.json").exists()
+        code = nilcert.cli.main(["intersect", str(path), str(path), "-o", str(out)])
+    assert (code, err.getvalue()) == (0, "")
+    assert check_certificate(deserialize(out.read_bytes())).ok
 
 
 # -- the node table ---------------------------------------------------------

@@ -630,22 +630,24 @@ def test_intersect_rejects_different_claims(tmp_path):
     assert "different elements" in result.stderr
 
 
-def test_check_accepts_a_schematic_generator_that_the_transforms_refuse(tmp_path):
-    # the checker refuses a schematic symbol only as a Semiprime bound, while the
-    # DagBuilder that each transform command reads its inputs into refuses any
-    # schematic generator; this pins the two policies as they stand
+def test_check_and_the_transforms_accept_a_schematic_generator(tmp_path):
+    # the checker refuses a schematic symbol only as a Semiprime bound, and the
+    # DagBuilder that each transform command reads its inputs into admits nodes
+    # by the checker's rules; intersect's fresh symbols avoid the generator's z#0
     z0 = Poly.symbol(Symbol.decode("z#0"))
-    cert = Certificate(NIL, (), GeneratorSet((z0,)), z0, (Intro(0),), 0)
-    (tmp_path / "z.json").write_bytes(serialize(cert))
-    checked = run("check", "z.json", cwd=tmp_path)
-    assert (checked.returncode, checked.stdout, checked.stderr) == (
-        0, "z.json: valid (1 nodes, setting nil)\n", "")
-    for argv in (["permute", "z.json", "--factors", "1", "--sigma", "1", "-o", "out.json"],
-                 ["intersect", "z.json", "z.json", "-o", "out.json"]):
-        result = run(*argv, cwd=tmp_path)
-        assert (result.returncode, result.stdout, result.stderr) == (
-            1, "", "nilcert: z.json: schematic symbol z#0 in generator set\n")
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["z.json"]
+    for setting in (NIL, SQRT):
+        cert = Certificate(setting, (), GeneratorSet((z0,)), z0, (Intro(0),), 0)
+        (tmp_path / "z.json").write_bytes(serialize(cert))
+        checked = run("check", "z.json", cwd=tmp_path)
+        assert (checked.returncode, checked.stdout, checked.stderr) == (
+            0, f"z.json: valid (1 nodes, setting {setting})\n", "")
+        result = run("intersect", "z.json", "z.json", "-o", "out.json", cwd=tmp_path)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "out.json\n", "")
+        out = deserialize((tmp_path / "out.json").read_bytes())
+        assert (out.setting, out.claim) == (setting, z0)
+        checked = run("check", "out.json", cwd=tmp_path)
+        assert (checked.returncode, checked.stdout, checked.stderr) == (
+            0, f"out.json: valid (2 nodes, setting {setting})\n", "")
 
 
 def test_witnesses_of_any_depth_transform(tmp_path):

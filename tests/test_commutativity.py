@@ -77,6 +77,21 @@ def test_central_roots_witness_folds_the_factors():
     assert check_certificate(cert).ok
 
 
+def test_central_roots_witness_folds_a_zero_root_first():
+    # x - 0 is a monomial, so the fold squares less after it
+    def shape(roots):
+        cert = certificate_from_dag(central_roots_witness(CentralConstants(roots)))
+        verdict = check_certificate(cert)
+        assert verdict.ok, str(verdict)
+        return cert.generators, len(cert.nodes), max(map(len, verdict.conclusions))
+
+    for given, zero_first, size in (((-2, -1, 0, 1), (0, -2, -1, 1), (140, 16_384)),
+                                    ((-1, 0, 1), (0, -1, 1), (50, 64))):
+        want = shape(zero_first)
+        assert want[1:] == size
+        assert shape(given) == want
+
+
 @pytest.mark.parametrize("n, gen", [(2, x ** 2 - x), (3, x ** 3 - x)])
 def test_xn_demo_certificates(n, gen):
     cert, log = xn_demo(n)

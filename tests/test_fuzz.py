@@ -171,25 +171,17 @@ def test_mutated_certificates_are_malformed_or_decided():
     assert all(outcomes.values()), outcomes
 
 
-def spellings(value) -> set[str]:
-    """Every string inside a JSON value, keys left out."""
-    if isinstance(value, str):
-        return {value}
-    items = value.values() if isinstance(value, dict) else value if isinstance(value, list) else ()
-    return set().union(*map(spellings, items))
-
-
 def move(rng: random.Random, data: bytes) -> bytes:
     """``data`` with one to three references or the root pointed at existing
     nodes, or Semiprime bounds renamed to schematic symbols it already has."""
     obj = json.loads(data)
     n = len(obj["nodes"])
-    schematic = sorted(s for s in spellings(obj) if "#" in s)
-    slots = [(obj, "root")] + [(node, key) for node in obj["nodes"]
-                               for key in ("left", "right", "inner", "premise", "bound")
-                               if isinstance(node.get(key), (int, str))]
+    schematic = sorted({c[k] for c, k, _ in slots(obj) if isinstance(c[k], str) and "#" in c[k]})
+    targets = [(obj, "root")] + [(node, key) for node in obj["nodes"]
+                                 for key in ("left", "right", "inner", "premise", "bound")
+                                 if isinstance(node.get(key), (int, str))]
     for _ in range(rng.choice((1, 1, 2, 3))):
-        container, key = rng.choice(slots)
+        container, key = rng.choice(targets)
         container[key] = rng.choice(schematic) if key == "bound" else rng.randrange(n)
     return json.dumps(obj).encode()
 

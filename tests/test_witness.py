@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import io
+import pathlib
 import pickle
 import random
 import typing
@@ -37,7 +40,10 @@ from nilcert import (
 )
 from nilcert.certificate import (
     DEFAULT_MAX_NODES, FIELDS, INDEX, POLY, REF, SYMBOL, Add, Intro, IntroFamily,
-    Node, Red,
+    Mult, Node, Red, Semiprime,
+)
+from nilcert.checker import (
+    BAD_REF, GEN_INDEX, RED_SQUARE_MISMATCH, SEMIPRIME_CAPTURE, SEMIPRIME_SHAPE, WRONG_SETTING,
 )
 
 x = Poly.symbol(base_symbol("x"))
@@ -75,37 +81,53 @@ def test_builder_basics_and_sharing():
     assert dag.conclusions[i] == x ** 3 - x
 
 
+def test_the_readme_library_example_runs():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    source = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(source, "README.md", "exec"), {})
+    cert = deserialize(out.getvalue().encode())
+    assert check_certificate(cert).ok
+    assert (cert.claim, cert.generators) == (x, GeneratorSet((x * x,)))
+
+
 def test_constructor_side_conditions():
     with pytest.raises(WitnessError, match="unknown setting"):
         DagBuilder("radical", GENS)
     with pytest.raises(WitnessError, match="families require"):
         DagBuilder(NIL, GeneratorSet((x,), [(x, y)]))
+    # a never-bound schematic generator is admitted, as the checker admits it
     z = Symbol.decode("z#0")
-    with pytest.raises(WitnessError, match="schematic symbol"):
-        DagBuilder(NIL, GeneratorSet((x + Poly.symbol(z),)))
+    b = DagBuilder(NIL, GeneratorSet((x + Poly.symbol(z),)))
+    assert b.conclusion(b.intro(0)) == x + Poly.symbol(z)
 
     b = DagBuilder(NIL, GENS)
-    with pytest.raises(WitnessError, match="out of range"):
+    with pytest.raises(WitnessError, match="^GEN_INDEX: generator index 2$"):
         b.intro(2)
-    with pytest.raises(WitnessError, match="out of range"):
+    with pytest.raises(WitnessError, match="^GEN_INDEX: generator index -1$"):
         b.intro(-1)
-    with pytest.raises(WitnessError, match="sqrt setting"):
+    with pytest.raises(WitnessError, match="^WRONG_SETTING: IntroFamily outside sqrt setting$"):
         b.intro_family(0, x)
-    with pytest.raises(WitnessError, match="unknown node"):
+    with pytest.raises(WitnessError, match="^BAD_REF: reference to unknown node 0$"):
         b.add(0, 1)
 
     i = b.intro(0)
-    with pytest.raises(WitnessError, match="not the square"):
+    with pytest.raises(WitnessError, match="^BAD_REF: reference to unknown node 1.0$"):
+        b.mult(x, 1.0, x)  # a reference must be an int
+    with pytest.raises(WitnessError, match="^RED_SQUARE_MISMATCH: "):
         b.red(i, x)
-    with pytest.raises(WitnessError, match="Semiprime requires the sqrt setting"):
+    with pytest.raises(WitnessError, match="^WRONG_SETTING: Semiprime outside sqrt setting$"):
         b.semiprime(z, b.mult(x * Poly.symbol(z), i, Poly.one()), x)
+    with pytest.raises(WitnessError, match="^BAD_REF: root 9 out of range$"):
+        b.build(9)
 
     s = DagBuilder(SQRT, GeneratorSet((x,), [(x, y)]))
-    with pytest.raises(WitnessError, match="nil setting"):
+    with pytest.raises(WitnessError, match="^WRONG_SETTING: Red outside nil setting$"):
         s.red(s.intro(0), x)
-    with pytest.raises(WitnessError, match="out of range"):
+    with pytest.raises(WitnessError, match="^GEN_INDEX: family index 1$"):
         s.intro_family(1, x)
-    with pytest.raises(WitnessError, match="must be schematic"):
+    with pytest.raises(WitnessError, match="^SEMIPRIME_SHAPE: bound symbol is not schematic$"):
         s.semiprime(base_symbol("x"), s.intro(0), x)
 
 
@@ -114,9 +136,9 @@ def test_red_accepts_exact_squares_only():
     prem = b.mult(x * y * x, b.intro(1), Poly.one())  # (x*y)*(x*y)
     node = b.red(prem, x * y)
     assert b.conclusion(node) == x * y
-    with pytest.raises(WitnessError, match="not the square"):
+    with pytest.raises(WitnessError, match="^RED_SQUARE_MISMATCH: "):
         b.red(prem, y * x)
-    with pytest.raises(WitnessError, match="not the square"):
+    with pytest.raises(WitnessError, match="^RED_SQUARE_MISMATCH: "):
         b.red(prem, 2 * x * y)
 
 
@@ -130,14 +152,51 @@ def test_semiprime_shape_and_capture():
     assert s.conclusion(node) == x
 
     bad_shape = s.mult(zp, i, Poly.one())  # z*x, wrong shape
-    with pytest.raises(WitnessError, match="conclusion\\*bound\\*conclusion"):
+    with pytest.raises(WitnessError, match="^SEMIPRIME_SHAPE: "):
         s.semiprime(z, bad_shape, x)
 
     # premise (z*x)*z*(z*x) has the right shape but the bound occurs in
     # the would-be conclusion z*x
     cap = s.mult(zp, i, zp * zp * x)
-    with pytest.raises(WitnessError, match="occurs in its conclusion"):
+    with pytest.raises(WitnessError, match="^SEMIPRIME_CAPTURE: bound occurs in the conclusion$"):
         s.semiprime(z, cap, zp * x)
+
+    # a schematic generator may stand in the set, but not as the bound
+    g = DagBuilder(SQRT, GeneratorSet((x, zp)))
+    premise = g.mult(x * zp, g.intro(0), Poly.one())
+    with pytest.raises(WitnessError, match="^SEMIPRIME_CAPTURE: bound occurs in the generators$"):
+        g.semiprime(z, premise, x)
+
+
+def test_the_builder_refuses_a_node_with_the_checkers_reason_and_detail():
+    z = Symbol.decode("z#0")
+    zp, one = Poly.symbol(z), Poly.one()
+    sqrt_gens = GeneratorSet((x,), [(x, y)])
+    cases = [  # reason, setting, generators, the nodes before, the refused node
+        (WRONG_SETTING, NIL, GENS, [], IntroFamily(0, x)),
+        (WRONG_SETTING, SQRT, sqrt_gens, [Intro(0)], Red(0, x)),
+        (GEN_INDEX, NIL, GENS, [], Intro(2)),
+        (GEN_INDEX, SQRT, sqrt_gens, [], IntroFamily(1, x)),
+        (BAD_REF, NIL, GENS, [Intro(0)], Add(0, 5)),
+        (BAD_REF, NIL, GENS, [Intro(0)], Mult(x, -1, x)),
+        (SEMIPRIME_SHAPE, SQRT, sqrt_gens, [Intro(0)], Semiprime(base_symbol("x"), 0, x)),
+        (SEMIPRIME_SHAPE, SQRT, sqrt_gens, [Intro(0), Mult(zp, 0, one)], Semiprime(z, 1, x)),
+        (RED_SQUARE_MISMATCH, NIL, GENS, [Intro(0)], Red(0, x)),
+        (SEMIPRIME_CAPTURE, SQRT, sqrt_gens, [Intro(0), Mult(zp, 0, zp * zp * x)],
+         Semiprime(z, 1, zp * x)),
+        (SEMIPRIME_CAPTURE, SQRT, GeneratorSet((x, zp)), [Intro(0), Mult(x * zp, 0, one)],
+         Semiprime(z, 1, x)),
+    ]
+    for reason, setting, gens, before, refused in cases:
+        b = DagBuilder(setting, gens)
+        assert [b.add_node(node) for node in before] == list(range(len(before)))
+        with pytest.raises(WitnessError) as err:
+            b.add_node(refused)
+        cert = Certificate(setting, ("x", "y"), gens, x, (*before, refused), len(before))
+        verdict = check_certificate(cert)
+        assert (verdict.node, verdict.reason) == (len(before), reason), verdict
+        assert str(err.value) == f"{verdict.reason}: {verdict.detail}"
+        assert len(b) == len(before)
 
 
 def test_node_budget():
