@@ -128,21 +128,15 @@ class _Node(Record):
 
     __slots__ = ()
     __eq__, __ne__, __hash__ = tuple.__eq__, tuple.__ne__, tuple.__hash__
-    _format = ""  # the repr, e.g. "Add(left=%r, right=%r)"
 
     def __getnewargs__(self) -> tuple:
         return self[:-1]
-
-    def __repr__(self) -> str:
-        return self._format % self[:-1]
 
 
 def _kind(name: str, *fields: tuple[str, str]) -> type:
     """The node kind with these (name, role) fields, entered in FIELDS."""
     names = tuple(field for field, _ in fields)
-    kind = type(name, (_Node,), {
-        "__slots__": (), "_format": f"{name}({', '.join(field + '=%r' for field in names)})",
-    })
+    kind = type(name, (_Node,), {"__slots__": ()})
     kind.__new__ = _NEW[len(names)]
     kind._set_fields(names)
     FIELDS[kind] = fields
@@ -212,9 +206,6 @@ class GeneratorSet(Record):
         for left, right in self.families:
             yield left
             yield right
-
-    def mentions(self, sym: Symbol) -> bool:
-        return any(p.mentions(sym) for p in self.all_polys())
 
 
 class MalformedCertificateError(ValueError):

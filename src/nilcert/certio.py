@@ -32,13 +32,10 @@ def certificate_from_dag(dag: WitnessDag, symbols: tuple[str, ...] | None = None
     it mentions and can be read back.
     """
     seen = {s.name for s in dag_symbols(dag) if not s.is_schematic}
-    if symbols is None:
-        symbols = tuple(sorted(seen))
-    else:
-        symbols = symbols + tuple(sorted(seen.difference(symbols)))
+    symbols = symbols or ()
     return Certificate(
         setting=dag.setting,
-        symbols=symbols,
+        symbols=symbols + tuple(sorted(seen.difference(symbols))),
         generators=dag.generators,
         claim=dag.conclusion,
         nodes=dag.nodes,

@@ -86,10 +86,6 @@ class Verdict(Record):
         return f"invalid: {where}: {self.reason}: {self.detail}"
 
 
-def _invalid(node: int | None, reason: str, detail: str) -> Verdict:
-    return Verdict(False, node, reason, detail)
-
-
 def node_fault(node: Node, n: int, setting: str, gens: GeneratorSet) -> tuple[str, str] | None:
     """The structural fault of ``node`` in a certificate of ``n`` nodes, as
     (reason, detail), or None."""
@@ -98,9 +94,9 @@ def node_fault(node: Node, n: int, setting: str, gens: GeneratorSet) -> tuple[st
         return WRONG_SETTING, f"unknown node kind {kind.__name__}"
     if SETTING_OF.get(kind, setting) != setting:
         return WRONG_SETTING, f"{kind.__name__} outside {SETTING_OF[kind]} setting"
-    if kind is Intro and not 0 <= node.gen < len(gens.elements):
+    if kind is Intro and not (isinstance(node.gen, int) and 0 <= node.gen < len(gens.elements)):
         return GEN_INDEX, f"generator index {node.gen}"
-    if kind is IntroFamily and not 0 <= node.family < len(gens.families):
+    if kind is IntroFamily and not (isinstance(node.family, int) and 0 <= node.family < len(gens.families)):
         return GEN_INDEX, f"family index {node.family}"
     for ref in _CHILDREN[kind](node):
         if not isinstance(ref, int) or not 0 <= ref < n:
@@ -131,7 +127,7 @@ def conclude(node: Node, concl: Sequence[Poly], gens: GeneratorSet) -> tuple[Pol
         return c, (SEMIPRIME_SHAPE, "premise is not conclusion*bound*conclusion")
     elif c.mentions(node.bound):
         return c, (SEMIPRIME_CAPTURE, "bound occurs in the conclusion")
-    elif gens.mentions(node.bound):
+    elif any(p.mentions(node.bound) for p in gens.all_polys()):
         return c, (SEMIPRIME_CAPTURE, "bound occurs in the generators")
     return c, None
 
@@ -148,15 +144,15 @@ def check_certificate(cert: Certificate) -> Verdict:
     n = len(nodes)
 
     if setting not in (NIL, SQRT):
-        return _invalid(None, WRONG_SETTING, f"unknown setting {setting!r}")
+        return Verdict(False, None, WRONG_SETTING, f"unknown setting {setting!r}")
     if setting == NIL and gens.families:
-        return _invalid(None, WRONG_SETTING, "families present in the nil setting")
+        return Verdict(False, None, WRONG_SETTING, "families present in the nil setting")
 
     for i, node in enumerate(nodes):
         if fault := node_fault(node, n, setting, gens):
-            return _invalid(i, *fault)
-    if not 0 <= cert.root < n:
-        return _invalid(None, BAD_REF, f"root {cert.root} out of range")
+            return Verdict(False, i, *fault)
+    if not isinstance(cert.root, int) or not 0 <= cert.root < n:
+        return Verdict(False, None, BAD_REF, f"root {cert.root} out of range")
 
     # acyclicity, by counting resolved children (Kahn)
     children = [_CHILDREN[type(node)](node) for node in nodes]
@@ -176,7 +172,7 @@ def check_certificate(cert: Certificate) -> Verdict:
                 ready.append(parent)
     if len(order) != n:
         stuck = min(i for i in range(n) if pending[i] > 0)
-        return _invalid(stuck, CYCLE, "node waits on a reference cycle")
+        return Verdict(False, stuck, CYCLE, "node waits on a reference cycle")
 
     # conclusions children first; the least node whose side condition fails is blamed
     concl: list[Poly] = [Poly.zero()] * n
@@ -186,7 +182,7 @@ def check_certificate(cert: Certificate) -> Verdict:
         if fault and (blamed is None or i < blamed[0]):
             blamed = (i, *fault)
     if blamed:
-        return _invalid(*blamed)
+        return Verdict(False, *blamed)
     if concl[cert.root] != cert.claim:
-        return _invalid(cert.root, CLAIM_MISMATCH, "claim differs from root conclusion")
+        return Verdict(False, cert.root, CLAIM_MISMATCH, "claim differs from root conclusion")
     return Verdict(True, order=tuple(order), conclusions=tuple(concl))

@@ -90,10 +90,7 @@ _Env = tuple[tuple[Symbol, Poly], ...]  # pending (bound, image) instances
 
 
 def _rotate_at(builder: DagBuilder, node_id: int, u: Poly, v: Poly) -> int:
-    if builder.conclusion(node_id) != u * v:
-        raise TransformError(
-            f"witness concludes {builder.conclusion(node_id)}, not ({u})*({v})"
-        )
+    # node_id concludes u*v; the builder's Red rule refuses the result otherwise
     return builder.red(builder.mult(v, node_id, u), v * u)
 
 
@@ -104,6 +101,8 @@ def _insert_at(builder: DagBuilder, node_id: int, u: Poly, v: Poly, r: Poly) -> 
 
 def insert(w: WitnessDag, u: Poly, v: Poly, r: Poly) -> WitnessDag:
     """From a witness of u*v, derive u*r*v (adds four nodes)."""
+    if w.conclusion != u * v:
+        raise TransformError(f"witness concludes {w.conclusion}, not ({u})*({v})")
     builder = DagBuilder.from_dag(w)
     return builder.build(_insert_at(builder, w.root, u, v, r))
 

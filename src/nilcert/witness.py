@@ -32,7 +32,7 @@ from nilcert.certificate import (
     field_getters,
     map_fields,
 )
-from nilcert.checker import BAD_REF, conclude, node_fault
+from nilcert.checker import BAD_REF, WRONG_SETTING, conclude, node_fault
 from nilcert.record import Record
 from nilcert.ring import Poly, Symbol, fresh_schematic, symbols_of
 
@@ -93,9 +93,9 @@ class DagBuilder:
 
     def __init__(self, setting: str, generators: GeneratorSet):
         if setting not in (NIL, SQRT):
-            raise WitnessError(f"unknown setting {setting!r}")
+            raise WitnessError(f"{WRONG_SETTING}: unknown setting {setting!r}")
         if setting == NIL and generators.families:
-            raise WitnessError("families require the sqrt setting")
+            raise WitnessError(f"{WRONG_SETTING}: families present in the nil setting")
         self.max_nodes = _NODE_BUDGET.get()
         if self.max_nodes < 1:
             raise BudgetExceededError("max_nodes must be positive")

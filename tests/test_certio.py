@@ -417,6 +417,8 @@ def test_certificate_from_dag_defaults():
     cert = certificate_from_dag(dag)
     assert cert.symbols == ("x", "y")
     assert cert.claim == y * x
+    # no symbol list, None and an empty one all declare the symbols in use, by name
+    assert certificate_from_dag(dag, None) == cert == certificate_from_dag(dag, ())
 
 
 def test_certificate_from_dag_completes_symbol_list():

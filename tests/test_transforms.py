@@ -96,6 +96,14 @@ def test_insert_places_r_between_the_factors():
     assert_valid(out)
 
 
+def test_insert_checks_the_factorization():
+    w = product_witness("x", "y")
+    with pytest.raises(TransformError, match=r"^witness concludes x\*y, not \(y\)\*\(x\)$"):
+        insert(w, y, x, z)
+    with pytest.raises(TransformError, match=r"not \(x\)\*\(1\)$"):
+        insert(w, x, one, z)
+
+
 def test_insert_with_unit_factors():
     w = product_witness("x")
     out = insert(w, x, one, y)  # from x = x*1 derive x*y
