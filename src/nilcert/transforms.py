@@ -17,7 +17,9 @@ over rotate and insert.
 A product is two inductions, one over each witness, as described on
 each function, run by witness.induction at any depth.  A product's Red
 node takes a rotate and a one-sided multiple, no insert, so no step
-squares more than the rotated word.
+squares more than the rotated word.  A run of Mult nodes is translated
+as one step (_mult_run), so a product's output is linear in its inputs
+along such runs.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import Sequence
+from typing import Callable, Sequence
 
 from nilcert.certificate import (
     Add,
@@ -195,6 +197,28 @@ def _first_with_conclusion(w: WitnessDag) -> list[int]:
     return [first.setdefault(c, i) for i, c in enumerate(w.conclusions)]
 
 
+def _mult_run(
+    nodes: Sequence, node: Mult, below: Sequence[int], read: Callable[[Poly], Poly] = lambda f: f
+) -> tuple[Poly, Poly, int]:
+    """A run of Mult nodes from ``node`` down, as (left, right, bottom):
+    node concludes left*c*right for c the conclusion of node ``bottom``.
+
+    Each Mult's inner id i is read as ``below[i]`` and its factors
+    through ``read``.  The run stops at a node that is not a Mult, or
+    where a fused factor would have more terms than its two parts had
+    together (never for monomials), so fusing never writes larger
+    factors than the run's own Mult nodes did.
+    """
+    left, right, bottom = read(node.left), read(node.right), below[node.inner]
+    while isinstance(nxt := nodes[bottom], Mult):
+        l, r = read(nxt.left), read(nxt.right)
+        fused_l, fused_r = left * l, r * right
+        if len(fused_l) > len(left) + len(l) or len(fused_r) > len(right) + len(r):
+            break
+        left, right, bottom = fused_l, fused_r, below[nxt.inner]
+    return left, right, bottom
+
+
 def nil_product(p: WitnessDag, q: WitnessDag) -> WitnessDag:
     """Multiply memberships: x in Nil(U,a) and y in Nil(U,b) give
     x*y in Nil(U, a*b).
@@ -208,6 +232,13 @@ def nil_product(p: WitnessDag, q: WitnessDag) -> WitnessDag:
     so shared subtrees and repeated conclusions are translated once,
     which keeps the output linear in the inputs, and a Red chain whose
     every level concludes the same element collapses to its first node.
+
+    A run of Mult nodes concluding l*c*r over a node concluding c is
+    one step: the recursion derives c*y once, one insert splices r
+    between c and y, and one Mult puts l in front (a*l*c, then times r,
+    on q's side).  Translating each Mult alone would write every
+    level's whole inner conclusion into its insert, Theta(n^2) bytes
+    for an n-deep run.
 
     A Red node for c (premise c*c) takes a rotation and a one-sided
     multiple, no insert: c*c*y rotates to c*y*c, then (c*y*c)*y =
@@ -237,9 +268,10 @@ def nil_product(p: WitnessDag, q: WitnessDag) -> WitnessDag:
         if isinstance(node, Add):
             return out.add((yield times_y, node.left), (yield times_y, node.right))
         if isinstance(node, Mult):
-            inner = yield times_y, node.inner
-            spliced = _insert_at(out, inner, p.conclusions[node.inner], y, node.right)
-            return out.mult(node.left, spliced, _ONE)
+            left, right, bottom = _mult_run(p.nodes, node, p_first)
+            inner = yield times_y, bottom
+            spliced = _insert_at(out, inner, p.conclusions[bottom], y, right)
+            return out.mult(left, spliced, _ONE)
         if isinstance(node, Red):
             c = node.conclusion
             inner = yield times_y, node.premise  # concludes c*c*y
@@ -260,9 +292,10 @@ def nil_product(p: WitnessDag, q: WitnessDag) -> WitnessDag:
         if isinstance(node, Add):
             return out.add((yield a_times, node.left), (yield a_times, node.right))
         if isinstance(node, Mult):
-            inner = yield a_times, node.inner
-            spliced = _insert_at(out, inner, a, q.conclusions[node.inner], node.left)
-            return out.mult(_ONE, spliced, node.right)
+            left, right, bottom = _mult_run(q.nodes, node, q_first)
+            inner = yield a_times, bottom
+            spliced = _insert_at(out, inner, a, q.conclusions[bottom], left)
+            return out.mult(_ONE, spliced, right)
         if isinstance(node, Red):
             c = node.conclusion
             inner = yield a_times, node.premise  # concludes a*c*c
@@ -289,11 +322,12 @@ def sqrt_product(p: WitnessDag, q: WitnessDag, m: Poly) -> WitnessDag:
     x*m*y in sqrt(U + family (a,b)), for any middle element m.
 
     The two inductions mirror nil_product's, times_y deriving x'*m*y and
-    a_times a*m*y', with the middle element threaded through: Mult cases
-    absorb their outer factor into m, and a Semiprime premise (a witness
-    of x*bound*x for every bound) is read at bound := m*y*t for a t fresh
-    for p, q and m and drawn once (t*a*m on q's side), so that the
-    recursive product becomes (x*m*y)*t*(x*m*y).  Nothing is copied:
+    a_times a*m*y', with the middle element threaded through: a run of
+    Mult nodes folds its factors on m's side into m, recurses once and
+    puts its other factors in one output Mult, and a Semiprime premise
+    (a witness of x*bound*x for every bound) is read at bound := m*y*t
+    for a t fresh for p, q and m and drawn once (t*a*m on q's side), so
+    that the recursive product becomes (x*m*y)*t*(x*m*y).  Nothing is copied:
     each side keeps its own pending instances as (bound, image) pairs,
     and every ring value read from that side goes through
     Poly.substitute.  Nothing can be captured either: each bound met is
@@ -309,6 +343,7 @@ def sqrt_product(p: WitnessDag, q: WitnessDag, m: Poly) -> WitnessDag:
     new_family = len(families)
     taken = dict.fromkeys(dag_symbols(p, q) | m.symbols())
     y = q.conclusion
+    p_ids, q_ids = range(len(p)), range(len(q))
 
     def times_y(pi: int, env: _Env, mid: Poly):
         node = p.nodes[pi]
@@ -326,8 +361,9 @@ def sqrt_product(p: WitnessDag, q: WitnessDag, m: Poly) -> WitnessDag:
             left = yield times_y, node.left, env, mid
             return out.add(left, (yield times_y, node.right, env, mid))
         if isinstance(node, Mult):
-            inner = yield times_y, node.inner, env, node.right.substitute(sub) * mid
-            return out.mult(node.left.substitute(sub), inner, _ONE)
+            left, right, bottom = _mult_run(p.nodes, node, p_ids, lambda f: f.substitute(sub))
+            inner = yield times_y, bottom, env, right * mid
+            return out.mult(left, inner, _ONE)
         if isinstance(node, Semiprime):
             t = fresh_schematic(node.bound.name, taken)
             instance = env + ((node.bound, mid * y * Poly.symbol(t)),)
@@ -351,8 +387,9 @@ def sqrt_product(p: WitnessDag, q: WitnessDag, m: Poly) -> WitnessDag:
             left = yield a_times, node.left, env, mid
             return out.add(left, (yield a_times, node.right, env, mid))
         if isinstance(node, Mult):
-            inner = yield a_times, node.inner, env, mid * node.left.substitute(sub)
-            return out.mult(_ONE, inner, node.right.substitute(sub))
+            left, right, bottom = _mult_run(q.nodes, node, q_ids, lambda f: f.substitute(sub))
+            inner = yield a_times, bottom, env, mid * left
+            return out.mult(_ONE, inner, right)
         if isinstance(node, Semiprime):
             t = fresh_schematic(node.bound.name, taken)
             instance = env + ((node.bound, Poly.symbol(t) * a * mid),)

@@ -86,7 +86,9 @@ class DagBuilder:
     """Arena for growing a witness one verified node at a time.
 
     Structurally equal nodes are shared: adding a node that already
-    exists returns the old id.  The builder keeps the node budget in
+    exists returns the old id, once the node passes the checker's
+    structural rules (``Intro(0.0) == Intro(0)``, but only the int
+    index is admitted).  The builder keeps the node budget in
     force when it is created (``node_budget``), as ``max_nodes``; more
     nodes raise BudgetExceededError rather than thrashing memory.
     """
@@ -121,7 +123,11 @@ class DagBuilder:
 
     def add_node(self, node: Node) -> int:
         existing = self._index.get(node)
-        return existing if existing is not None else self._append(node, self._admit(node))
+        if existing is None:
+            return self._append(node, self._admit(node))
+        if fault := node_fault(node, len(self._nodes), self.setting, self.generators):
+            raise WitnessError(": ".join(fault))
+        return existing
 
     def _append(self, node: Node, conclusion: Poly) -> int:
         # the one way in for a node not yet present, with its verified conclusion

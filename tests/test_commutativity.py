@@ -85,7 +85,7 @@ def test_central_roots_witness_folds_a_zero_root_first():
         assert verdict.ok, str(verdict)
         return cert.generators, len(cert.nodes), max(map(len, verdict.conclusions))
 
-    for given, zero_first, size in (((-2, -1, 0, 1), (0, -2, -1, 1), (140, 16_384)),
+    for given, zero_first, size in (((-2, -1, 0, 1), (0, -2, -1, 1), (130, 16_384)),
                                     ((-1, 0, 1), (0, -1, 1), (50, 64))):
         want = shape(zero_first)
         assert want[1:] == size

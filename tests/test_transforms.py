@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
+import operator
 import os
 import random
 import subprocess
@@ -13,6 +15,7 @@ import pytest
 
 import nilcert
 import witgen
+from refcheck import refcheck
 from nilcert import (
     BudgetExceededError,
     CentralConstants,
@@ -355,10 +358,16 @@ def times_one(b, inner, leaf):
     return b.mult(one, inner, one)
 
 
+def size(dag):
+    return len(serialize(certificate_from_dag(dag)))
+
+
 def test_products_translate_deep_chains_on_either_side():
     # the inductions keep pending nodes on a list, not on the interpreter's
     # stack, so no depth is too deep; Mult(1, ., gen) chains grow their words
-    # with the depth, and a nil Mult(1, ., 1) chain repeats its conclusion
+    # with the depth, and a nil Mult(1, ., 1) chain repeats its conclusion.
+    # The output is linear in the inputs: each input node gives at most one
+    # output node, plus one splice (an insert, four nodes)
     for setting, depth, step in (
         (NIL, 900, times_gen), (SQRT, 900, times_gen),
         (NIL, 20_000, plus_leaf), (SQRT, 20_000, times_one),
@@ -369,8 +378,68 @@ def test_products_translate_deep_chains_on_either_side():
         for p, q in ((deep_x, flat_y), (flat_x, deep_y)):
             out = product(p, q)
             assert out.conclusion == p.conclusion * q.conclusion
-            assert len(out) > depth
+            assert len(out) <= len(p) + len(q) + 4
+            assert size(out) <= 2 * (size(p) + size(q))
             assert_valid(out)
+
+
+@pytest.mark.parametrize("setting", [NIL, SQRT])
+def test_products_translate_a_mult_run_as_one_mult(setting):
+    # a run of n Mult(1, ., gen) nodes is one Mult by gen^n, so the node count
+    # does not grow with n and the bytes grow by the same amount at each step
+    product = nil_product if setting == NIL else lambda p, q: sqrt_product(p, q, one)
+    flat_x, flat_y = chain(setting, x, 0, None), chain(setting, y, 0, None)
+    for pair in (lambda depth: (chain(setting, x, depth, times_gen), flat_y),
+                 lambda depth: (flat_x, chain(setting, y, depth, times_gen))):
+        outs = [product(*pair(depth)) for depth in (100, 200, 300)]
+        for out in outs:
+            assert_valid(out)
+        assert {len(out) for out in outs} == {6 if setting == NIL else 2}
+        sizes = [size(out) for out in outs]
+        assert sizes[2] - sizes[1] == sizes[1] - sizes[0] > 0
+
+
+@pytest.mark.parametrize("setting, unfused", [(NIL, 11), (SQRT, 3)])
+def test_products_fuse_a_mult_run_only_where_its_factors_do_not_grow(setting, unfused):
+    # Mult(f, Mult(f, Intro(x), f), f) against Mult(f*f, Intro(x), f*f): a
+    # monomial f fuses to the very bytes of the latter's product, while
+    # f = x+y+z would fuse 3-term factors into 9-term ones, so each Mult
+    # is translated alone
+    product = nil_product if setting == NIL else lambda p, q: sqrt_product(p, q, one)
+    flat_y = chain(setting, y, 0, None)
+    for f in (y, x + y + z):
+        run, fused = (DagBuilder(setting, GeneratorSet((x,))) for _ in range(2))
+        run = run.build(run.mult(f, run.mult(f, run.intro(0), f), f))
+        fused = fused.build(fused.mult(f * f, fused.intro(0), f * f))
+        out = product(run, flat_y)
+        assert_valid(out)
+        if len(f) == 1:
+            assert certificate_from_dag(out) == certificate_from_dag(product(fused, flat_y))
+        else:
+            assert len(out) == unfused
+
+
+def shared_mult(setting, gen, other):
+    """A Mult below two Mult parents and an Add: Intro(gen) times gen,
+    then times other on either side, all summed."""
+    b = DagBuilder(setting, GeneratorSet((gen,)))
+    leaf = b.intro(0)
+    shared = b.mult(one, leaf, gen)
+    parents = b.add(b.mult(one, shared, other), b.mult(other, shared, one))
+    return b.build(b.add(parents, b.add(shared, leaf)))
+
+
+@pytest.mark.parametrize("setting, sides, nodes", [
+    # the node counts before runs were fused were 17, 17, 33, 10, 9 and 34
+    (NIL, "p", 13), (NIL, "q", 13), (NIL, "pq", 25),
+    (SQRT, "p", 9), (SQRT, "q", 8), (SQRT, "pq", 30),
+])
+def test_products_translate_a_shared_mult_in_every_run_through_it(setting, sides, nodes):
+    p = shared_mult(setting, x, y) if "p" in sides else chain(setting, x, 0, None)
+    q = shared_mult(setting, y, x) if "q" in sides else chain(setting, y, 0, None)
+    out = nil_product(p, q) if setting == NIL else sqrt_product(p, q, z)
+    assert len(out) == nodes
+    assert_valid(out)
 
 
 def test_nil_intersect():
@@ -515,7 +584,7 @@ def test_sqrt_product_translates_q_once_per_middle():
     rng = random.Random(691)
     p, q = witgen.sqrt_pair(rng, ("x", "y"), rng.randint(1, 4), force_semiprime=True)
     out = sqrt_product(p, q, x)
-    assert len(out) == 12
+    assert len(out) == 11
     assert_valid(out)
 
 
@@ -529,17 +598,24 @@ def test_sqrt_product_gives_the_same_bytes_every_call():
         assert_valid(first)
 
 
-def products_digest(pairs: int = 60) -> str:
-    """One hash over the bytes of products and instantiations of witgen pairs."""
-    digest = hashlib.sha256()
+def witgen_products(pairs: int):
+    """(p, q, product) for witgen pairs drawn from seeds 0, 1, ...: nil pairs
+    at even seeds, sqrt pairs with middle x at odd ones."""
     for seed in range(pairs):
         rng = random.Random(seed)
         if seed % 2:
             p, q = witgen.sqrt_pair(rng, ("x", "y"), rng.randint(1, 4), force_semiprime=True)
-            outs = [sqrt_product(p, q, x)]
+            yield p, q, sqrt_product(p, q, x)
         else:
             p, q = witgen.nil_pair(rng, ("x", "y"), rng.randint(1, 4))
-            outs = [nil_product(p, q)]
+            yield p, q, nil_product(p, q)
+
+
+def products_digest(pairs: int = 60) -> str:
+    """One hash over the bytes of products and instantiations of witgen pairs."""
+    digest = hashlib.sha256()
+    for p, q, product in witgen_products(pairs):
+        outs = [product]
         for w in (p, q):
             schematic = sorted((s for s in dag_symbols(w) if s.is_schematic), key=Symbol.encode)
             outs += [substitute_schematic(w, s, x * y) for s in schematic]
@@ -569,11 +645,34 @@ def test_products_give_the_same_bytes_in_any_process():
 # substitute_schematic or to witgen that alters these bytes on purpose
 # pins the new digest here and records the reason in CHANGES.md, as a
 # re-baselined golden does.
-PINNED_PRODUCTS_DIGEST = "1e289629fc36e86e59d1e7528bf8e569596e165aec0b1f1776f51424ae88863f"
+PINNED_PRODUCTS_DIGEST = "54904910b1ea87870e952b38d4cb5d16e94ea65e4bcf44307771a3f993e02a6d"
 
 
 def test_products_keep_their_pinned_bytes():
     assert products_digest(200) == PINNED_PRODUCTS_DIGEST
+
+
+# Over the products of products_digest(200)'s pairs: total nodes, total
+# bytes and the most terms of any conclusion.  A change that makes products
+# smaller on purpose lowers these, as it re-pins the digest.
+PINNED_PRODUCTS_SIZE = (1_520, 153_781, 188)
+
+
+def test_products_stay_within_their_pinned_size():
+    products = [product for _, _, product in witgen_products(200)]
+    measured = (
+        sum(map(len, products)),
+        sum(len(serialize(certificate_from_dag(out))) for out in products),
+        max(len(c) for out in products for c in out.conclusions),
+    )
+    assert all(map(operator.le, measured, PINNED_PRODUCTS_SIZE)), measured
+
+
+def test_the_reference_checker_accepts_every_product():
+    for _, _, product in witgen_products(200):
+        cert = certificate_from_dag(product)
+        assert check_certificate(cert).ok
+        assert refcheck(json.loads(serialize(cert))) == (True, None, None)
 
 
 def test_sqrt_product_rejects_nil_inputs():

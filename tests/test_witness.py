@@ -203,6 +203,23 @@ def test_the_builder_refuses_a_node_with_the_checkers_reason_and_detail():
         assert len(b) == len(before)
 
 
+@pytest.mark.parametrize("before, held, refused, reason", [
+    ([], Intro(0), Intro(0.0), "GEN_INDEX: generator index 0.0"),
+    ([Intro(0), Intro(1)], Add(0, 1), Add(0.0, 1), "BAD_REF: reference to unknown node 0.0"),
+])
+def test_the_builder_refuses_a_float_field_whatever_it_holds(before, held, refused, reason):
+    # Intro(0.0) == Intro(0), so the hash-cons index alone would hand back the held id
+    for held_first in (False, True):
+        b = DagBuilder(NIL, GENS)
+        for node in before + [held] * held_first:
+            b.add_node(node)
+        size = len(b)
+        with pytest.raises(WitnessError) as err:
+            b.add_node(refused)
+        assert (str(err.value), len(b)) == (reason, size)
+        assert b.add_node(held) == len(before)
+
+
 def test_node_budget():
     with node_budget(2):
         b = DagBuilder(NIL, GENS)
